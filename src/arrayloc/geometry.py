@@ -71,12 +71,14 @@ class AdjacencyMask:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.mask)) // 2
 
+    def missing_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column arrays of the unobserved pairs, i < j, row-major."""
+        return np.nonzero(np.triu(~self.mask, 1))
+
     def missing_pairs(self) -> list[tuple[int, int]]:
         """Unobserved (i, j) pairs with i < j, row-major order."""
-        n = self.count
-        return [
-            (i, j) for i in range(n) for j in range(i + 1, n) if not self.mask[i, j]
-        ]
+        rows, cols = self.missing_indices()
+        return list(zip(rows.tolist(), cols.tolist()))
 
     @classmethod
     def complete(cls, n: int) -> "AdjacencyMask":
@@ -107,7 +109,7 @@ class Edm:
             raise ValueError("observed entries must be finite")
         scale = float(np.max(np.abs(vals))) if vals.size else 0.0
         tol = 1e-9 * max(scale, 1.0)
-        if np.any(np.abs(np.diag(entries)) > tol):
+        if not np.all(np.abs(np.diag(entries)) <= tol):  # also rejects NaN
             raise ValueError("diagonal must be zero")
         if vals.size and np.any(np.abs(entries - entries.T)[obs] > tol):
             raise ValueError("observed entries must be symmetric")

@@ -266,10 +266,9 @@ def _signal_level_edm(
 def _evm_series(
     run: SolverRun, observed: Edm, mask: AdjacencyMask, truth: NodeLayout, m: int
 ) -> np.ndarray:
-    pairs = mask.missing_pairs()
-    rows = np.array([i for i, _ in pairs], dtype=int)
-    cols = np.array([j for _, j in pairs], dtype=int)
-    stack = _completed_stack(run.best_vector_history, observed.entries, (rows, cols))
+    stack = _completed_stack(
+        run.best_vector_history, observed.entries, mask.missing_indices()
+    )
     coords = _batched_coords(stack, m)
     return np.array(
         [

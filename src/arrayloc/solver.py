@@ -79,16 +79,32 @@ def _completed_stack(
     return stack
 
 
+def _smallest_columns(keys: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest keys per row, ties to the lower column.
+
+    Equal to ``np.argsort(keys, axis=1, kind="stable")[:, :k]`` for finite
+    keys and k no larger than the row length, without sorting whole rows.
+    Overwrites ``keys``.
+    """
+    rows = np.arange(keys.shape[0])
+    picks = np.empty((keys.shape[0], k), dtype=np.intp)
+    for j in range(k):
+        picks[:, j] = keys.argmin(axis=1)
+        keys[rows, picks[:, j]] = np.inf
+    return picks
+
+
 def _batched_coords(stack: np.ndarray, m: int) -> np.ndarray:
     """Classical MDS over a stack of complete matrices; coords as (P, N, m)."""
-    n = stack.shape[-1]
+    p, n = stack.shape[0], stack.shape[-1]
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     gram = -0.5 * (centering @ stack @ centering.T)
     gram = 0.5 * (gram + gram.transpose(0, 2, 1))
     values, vectors = np.linalg.eigh(gram)
-    order = np.argsort(-np.abs(values), axis=-1, kind="stable")[:, :m]
-    leading = np.clip(np.take_along_axis(values, order, axis=1), 0.0, None)
-    chosen = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    order = _smallest_columns(-np.abs(values), m)
+    rows = np.arange(p)[:, None]
+    leading = np.clip(values[rows, order], 0.0, None)
+    chosen = vectors[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]]
     return np.sqrt(leading)[:, None, :] * chosen
 
 
@@ -111,23 +127,37 @@ def _batched_costs(
     return 0.5 * np.sum(residual**2, axis=(1, 2))
 
 
+def _zeroed_unobserved(
+    observed: Edm, pair_idx: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Copy of the observed matrix with 0 at every unobserved entry.
+
+    ``Edm`` accepts any value, NaN included, where the mask has no link.
+    The cost weights those entries by 0, and 0 * NaN would still be NaN.
+    """
+    rows, cols = pair_idx
+    entries = observed.entries.copy()
+    entries[rows, cols] = 0.0
+    entries[cols, rows] = 0.0
+    return entries
+
+
 def evaluate_cost(
     vector: np.ndarray, observed: Edm, mask: AdjacencyMask, m: int
 ) -> float:
     """Score one candidate completion against the observed entries."""
-    pairs = mask.missing_pairs()
-    vector = np.asarray(vector, dtype=float).reshape(-1)
-    if vector.size != len(pairs):
+    if not 1 <= m <= observed.count:
+        raise ValueError("target dimension must lie in [1, node count]")
+    pair_idx = mask.missing_indices()
+    vector = np.asarray(vector, dtype=float).reshape(1, -1)
+    if vector.shape[1] != pair_idx[0].size:
         raise ValueError(
-            f"candidate has {vector.size} entries, mask misses {len(pairs)}"
+            f"candidate has {vector.shape[1]} entries, "
+            f"mask misses {pair_idx[0].size}"
         )
-    entries = observed.entries.copy()
-    for (i, j), value in zip(pairs, vector):
-        entries[i, j] = entries[j, i] = value
-    layout = classical_mds(Edm(entries), m)
-    recon = edm_from_points(layout).entries
-    residual = (observed.entries - recon) * mask.mask
-    return 0.5 * float(np.sum(residual**2))
+    entries = _zeroed_unobserved(observed, pair_idx)
+    weights = mask.mask.astype(float)
+    return float(_batched_costs(vector, entries, weights, pair_idx, m)[0])
 
 
 def _geodesic_upper_bounds(
@@ -179,12 +209,13 @@ def complete_and_localize(
         raise CompletabilityError(
             "observation mask cannot anchor every node in the array"
         )
-    pairs = mask.missing_pairs()
-    entries = observed.entries
+    pair_idx = mask.missing_indices()
+    entries = _zeroed_unobserved(observed, pair_idx)
     weights = mask.mask.astype(float)
+    n_vars = pair_idx[0].size
 
-    if not pairs:
-        layout = classical_mds(Edm(entries.copy()), m)
+    if not n_vars:
+        layout = classical_mds(Edm(entries), m)
         recon = edm_from_points(layout).entries
         cost = 0.5 * float(np.sum(((entries - recon) * weights) ** 2))
         return SolverRun(
@@ -196,16 +227,11 @@ def complete_and_localize(
             recovered_layout=layout,
         )
 
-    pair_idx = (
-        np.array([i for i, _ in pairs]),
-        np.array([j for _, j in pairs]),
-    )
-    lower = np.zeros(len(pairs))
+    lower = np.zeros(n_vars)
     upper = np.maximum(_geodesic_upper_bounds(observed, mask, pair_idx), 1e-12)
 
     pop_size = config.population_size
     n_parents = min(pop_size, max(4, round(config.parent_fraction * pop_size)))
-    n_vars = len(pairs)
     population = lower + (upper - lower) * rng.random((pop_size, n_vars))
     costs = _batched_costs(population, entries, weights, pair_idx, m)
 
@@ -226,7 +252,7 @@ def complete_and_localize(
         # Donor triples exclude the target but are otherwise uniform.
         keys = rng.random((n_kids, n_parents))
         keys[np.arange(n_kids), targets] = 2.0
-        donor_idx = np.argsort(keys, axis=1, kind="stable")[:, :3]
+        donor_idx = _smallest_columns(keys, 3)
         a, b, c = (parents[donor_idx[:, k]] for k in range(3))
         donors = a + config.differential_weight * (b - c)
         cross = rng.random((n_kids, n_vars)) < config.crossover_rate
@@ -239,7 +265,16 @@ def complete_and_localize(
         # onto identical boundary values and bleed diversity.
         children = np.where(children < lower, 0.5 * (target_vecs + lower), children)
         children = np.where(children > upper, 0.5 * (target_vecs + upper), children)
-        child_costs = _batched_costs(children, entries, weights, pair_idx, m)
+        # The culled share of the population immigrates uniformly at random.
+        # No draw depends on a cost, so children and immigrants are scored
+        # in one batch.
+        immigrants = lower + (upper - lower) * rng.random(
+            (pop_size - n_parents, n_vars)
+        )
+        scored = _batched_costs(
+            np.vstack([children, immigrants]), entries, weights, pair_idx, m
+        )
+        child_costs, immigrant_costs = scored[:n_kids], scored[n_kids:]
         # Rank selection over parents and children together.  The incumbent
         # best is a parent, so it survives unless a child beats it.
         pool = np.vstack([parents, children])
@@ -247,16 +282,6 @@ def complete_and_localize(
         keep = np.argsort(pool_costs, kind="stable")[:n_parents]
         survivors = pool[keep]
         survivor_costs = pool_costs[keep]
-        # The culled share of the population immigrates uniformly at random.
-        immigrants = lower + (upper - lower) * rng.random(
-            (pop_size - n_parents, n_vars)
-        )
-        if immigrants.shape[0]:
-            immigrant_costs = _batched_costs(
-                immigrants, entries, weights, pair_idx, m
-            )
-        else:
-            immigrant_costs = np.zeros(0)
         population = np.vstack([survivors, immigrants])
         costs = np.concatenate([survivor_costs, immigrant_costs])
         if survivor_costs[0] < best_cost:

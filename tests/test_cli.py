@@ -67,11 +67,18 @@ def test_mds_subcommand_prints_to_stdout(tmp_path, capsys):
     assert values == pytest.approx([-1.5, 1.5])
 
 
-def test_localize_subcommand(tmp_path, capsys):
+def _run_localize(tmp_path, unobserved_value):
+    """Write the reference 6-node problem and run ``localize`` on it.
+
+    Every unmeasured off-diagonal entry of the EDM CSV holds
+    ``unobserved_value``.  Returns the exit code, the recovered layout and
+    the true layout.
+    """
     rng = np.random.default_rng(1000)
     truth = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 6)))
     mask = random_completable_mask(6, 0.8, rng)
-    entries = edm_from_points(truth).entries * mask.mask
+    entries = np.where(mask.mask, edm_from_points(truth).entries, unobserved_value)
+    np.fill_diagonal(entries, 0.0)
     edm_path = tmp_path / "edm.csv"
     mask_path = tmp_path / "mask.csv"
     out_path = tmp_path / "layout.csv"
@@ -84,10 +91,22 @@ def test_localize_subcommand(tmp_path, capsys):
         ["localize", "--edm", str(edm_path), "--mask", str(mask_path),
          "--dim", "2", "--seed", "0", "--out", str(out_path)]
     )
+    return code, read_layout_csv(out_path), truth
+
+
+def test_localize_subcommand(tmp_path, capsys):
+    code, recovered, truth = _run_localize(tmp_path, 0.0)
     assert code == 0
     captured = capsys.readouterr()
     assert "cost=" in captured.err and "converged=" in captured.err
-    recovered = read_layout_csv(out_path)
+    assert align_and_evm(recovered, truth).evm_mean < 1e-4
+
+
+def test_localize_ignores_nan_at_unobserved_entries(tmp_path, capsys):
+    code, recovered, truth = _run_localize(tmp_path, float("nan"))
+    assert code == 0
+    stats = dict(kv.split("=") for kv in capsys.readouterr().err.split())
+    assert np.isfinite(float(stats["cost"]))
     assert align_and_evm(recovered, truth).evm_mean < 1e-4
 
 

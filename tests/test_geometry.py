@@ -198,6 +198,18 @@ def test_mask_edm_missing_pair_count(rng):
     assert len(masked.observed.missing_pairs()) == 3
 
 
+def test_missing_indices_match_missing_pairs_row_major(rng):
+    for n in (4, 6, 9):
+        adj = np.triu(rng.random((n, n)) < 0.6, 1)
+        mask = AdjacencyMask(adj | adj.T)
+        expected = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if not adj[i, j]
+        ]
+        rows, cols = mask.missing_indices()
+        assert list(zip(rows.tolist(), cols.tolist())) == expected
+        assert mask.missing_pairs() == expected
+
+
 def test_mask_edm_dimension_mismatch():
     edm = edm_from_points(NodeLayout(np.zeros((2, 4))))
     with pytest.raises(ValueError):
@@ -222,6 +234,8 @@ def test_edm_rejects_negative_entries():
 def test_edm_rejects_nonzero_diagonal():
     with pytest.raises(ValueError):
         Edm(np.array([[1.0, 4.0], [4.0, 0.0]]))
+    with pytest.raises(ValueError):
+        Edm(np.array([[np.nan, 4.0], [4.0, 0.0]]))
 
 
 def test_edm_ignores_values_under_unobserved_positions():

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from arrayloc.evaluation import align_and_evm
 from arrayloc.geometry import (
     AdjacencyMask,
     CompletabilityError,
+    Edm,
     NodeLayout,
     edm_from_points,
     mask_edm,
@@ -14,7 +18,12 @@ from arrayloc.geometry import (
 )
 from arrayloc.ranging import sample_edm_statistical, synth_two_tone
 from arrayloc.snr import db_to_linear
-from arrayloc.solver import SolverConfig, complete_and_localize, evaluate_cost
+from arrayloc.solver import (
+    SolverConfig,
+    _smallest_columns,
+    complete_and_localize,
+    evaluate_cost,
+)
 
 
 def _masked_problem(rng, n=6, c=0.8, extent=5.0):
@@ -72,6 +81,73 @@ def test_cost_rejects_wrong_vector_length(rng):
         evaluate_cost(np.zeros(99), observed, mask, 2)
 
 
+@pytest.mark.parametrize("m", [0, 7])
+def test_cost_rejects_dimension_outside_node_count(rng, m):
+    layout, mask, observed = _masked_problem(rng)
+    with pytest.raises(ValueError):
+        evaluate_cost(_true_missing_vector(layout, mask), observed, mask, m)
+
+
+def test_cost_matches_the_solver_bit_for_bit(rng):
+    layout, mask, observed = _masked_problem(rng)
+    run = complete_and_localize(
+        observed, mask, 2, SolverConfig(max_generations=15), rng
+    )
+    cost = evaluate_cost(run.best_vector, observed, mask, 2)
+    assert cost == run.best_cost_history[-1]
+
+
+def test_cost_ignores_nan_at_unobserved_entries(rng):
+    layout, mask, observed = _masked_problem(rng)
+    truth = _true_missing_vector(layout, mask)
+    poisoned = observed.entries.copy()
+    poisoned[~mask.mask & ~np.eye(mask.count, dtype=bool)] = np.nan
+    nan_observed = Edm(poisoned, observed=mask)
+    assert evaluate_cost(truth, nan_observed, mask, 2) == evaluate_cost(
+        truth, observed, mask, 2
+    )
+
+
+# ---------------------------------------------------------------------------
+# selection helpers: exact stable-argsort order, ties included
+# ---------------------------------------------------------------------------
+
+
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(1, 12), st.integers(4, 12)),
+        elements=st.integers(0, 3).map(float),
+    ),
+    st.data(),
+)
+def test_donor_triples_match_stable_argsort(keys, data):
+    targets = data.draw(
+        arrays(
+            np.intp,
+            keys.shape[0],
+            elements=st.integers(0, keys.shape[1] - 1),
+        )
+    )
+    keys[np.arange(keys.shape[0]), targets] = 2.0
+    expected = np.argsort(keys, axis=1, kind="stable")[:, :3]
+    assert np.array_equal(_smallest_columns(keys.copy(), 3), expected)
+
+
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(1, 12), st.integers(1, 8)),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 7.0]),
+    ),
+    st.data(),
+)
+def test_leading_eigenvalue_picks_match_stable_argsort(values, data):
+    m = data.draw(st.integers(1, values.shape[1]))
+    expected = np.argsort(-np.abs(values), axis=1, kind="stable")[:, :m]
+    assert np.array_equal(_smallest_columns(-np.abs(values), m), expected)
+
+
 # ---------------------------------------------------------------------------
 # solver configuration
 # ---------------------------------------------------------------------------
@@ -119,6 +195,22 @@ def test_noiseless_recovery_single_seed():
     )
     assert run.best_cost_history[-1] < 1e-10
     assert align_and_evm(run.recovered_layout, layout).evm_mean < 1e-5
+
+
+def test_nan_at_unobserved_entries_gives_a_finite_run(rng):
+    # Edm accepts any value where the mask has no link; the solver must
+    # give the same run as with zeros there.
+    layout, mask, observed = _masked_problem(rng)
+    poisoned = observed.entries.copy()
+    poisoned[~mask.mask & ~np.eye(mask.count, dtype=bool)] = np.nan
+    config = SolverConfig(max_generations=30, seed=5)
+    clean = complete_and_localize(observed, mask, 2, config)
+    run = complete_and_localize(Edm(poisoned, observed=mask), mask, 2, config)
+    assert np.all(np.isfinite(run.best_cost_history))
+    assert np.array_equal(run.best_cost_history, clean.best_cost_history)
+    assert np.array_equal(
+        run.recovered_layout.coords, clean.recovered_layout.coords
+    )
 
 
 def test_best_cost_history_never_rises(rng):
