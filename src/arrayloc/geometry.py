@@ -28,7 +28,9 @@ class NodeLayout:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
+        # C order: the same coordinates must give the same bits downstream,
+        # and BLAS sums a transposed view in another order.
+        coords = np.ascontiguousarray(self.coords, dtype=float)
         if coords.ndim != 2:
             raise ValueError("coords must be a 2-D array shaped (dims, nodes)")
         if coords.shape[0] < 1 or coords.shape[1] < 1:
@@ -74,6 +76,19 @@ class AdjacencyMask:
     def missing_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column arrays of the unobserved pairs, i < j, row-major."""
         return np.nonzero(np.triu(~self.mask, 1))
+
+    def filled(self, entries: np.ndarray, values) -> np.ndarray:
+        """Copy of ``entries`` with ``values`` written into every missing pair.
+
+        ``values`` shaped (n_missing,), or a scalar, fill one (N, N) matrix,
+        in the order of ``missing_indices()`` and into both triangles;
+        (P, n_missing) fill a (P, N, N) stack, one matrix per row.
+        """
+        rows, cols = self.missing_indices()
+        out = np.broadcast_to(entries, np.shape(values)[:-1] + entries.shape).copy()
+        out[..., rows, cols] = values
+        out[..., cols, rows] = values
+        return out
 
     def missing_pairs(self) -> list[tuple[int, int]]:
         """Unobserved (i, j) pairs with i < j, row-major order."""

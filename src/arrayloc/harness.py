@@ -32,6 +32,7 @@ from .geometry import (
     random_completable_mask,
     read_layout_csv,
 )
+from .mds import batched_mds
 from .ranging import (
     make_scenario,
     sample_edm_statistical,
@@ -40,13 +41,7 @@ from .ranging import (
     two_way_tof,
 )
 from .snr import db_to_linear
-from .solver import (
-    SolverConfig,
-    SolverRun,
-    _batched_coords,
-    _completed_stack,
-    complete_and_localize,
-)
+from .solver import SolverConfig, SolverRun, complete_and_localize, require_int
 
 RANGING_MODES = ("statistical", "signal_level")
 LAYOUT_KINDS = ("random_box", "circle", "file")
@@ -67,6 +62,9 @@ class LayoutSpec:
     path: str | None = None  # layout CSV for kind="file"
 
     def __post_init__(self) -> None:
+        sizes = (self.extent_m, self.radius_m, self.min_separation_m)
+        if not all(math.isfinite(v) for v in (*sizes, self.radial_jitter)):
+            raise ValueError("layout sizes and jitter must be finite")
         if self.kind not in LAYOUT_KINDS:
             raise ValueError(f"unknown layout kind {self.kind!r}")
         if self.kind == "random_box" and self.extent_m <= 0:
@@ -133,6 +131,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.array_sizes or not self.connectivities or not self.bandwidths_hz:
             raise ValueError("sweep lists must be non-empty")
+        for name in ("trials", "dim", "seed", "workers"):
+            require_int(name, getattr(self, name))
+        scalars = (self.snr_h_db, self.pulse_s, self.sample_rate_hz, self.rise_fall_s)
+        numbers = (*scalars, *self.connectivities, *self.bandwidths_hz)
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError("config numbers must be finite")
         if self.trials < 1:
             raise ValueError("need at least one trial per sweep point")
         if self.ranging_mode not in RANGING_MODES:
@@ -144,6 +148,7 @@ class ExperimentConfig:
         if self.snr_h_db > 200:
             raise ValueError("harmonic-mean SNR is implausibly large")
         for n in self.array_sizes:
+            require_int("array size", n)
             if n < 4:
                 raise ValueError("arrays need at least 4 nodes")
             for c in self.connectivities:
@@ -172,10 +177,6 @@ class ExperimentConfig:
                     f"{SIGNAL_LEVEL_MAX_TRIALS} trials by default"
                 )
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
@@ -185,11 +186,11 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "layout" in data and isinstance(data["layout"], dict):
-            data["layout"] = LayoutSpec(**data["layout"])
-        if "solver" in data and isinstance(data["solver"], dict):
-            data["solver"] = SolverConfig(**data["solver"])
         try:
+            if isinstance(data.get("layout"), dict):
+                data["layout"] = LayoutSpec(**data["layout"])
+            if isinstance(data.get("solver"), dict):
+                data["solver"] = SolverConfig(**data["solver"])
             return cls(**data)
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from exc
@@ -266,10 +267,7 @@ def _signal_level_edm(
 def _evm_series(
     run: SolverRun, observed: Edm, mask: AdjacencyMask, truth: NodeLayout, m: int
 ) -> np.ndarray:
-    stack = _completed_stack(
-        run.best_vector_history, observed.entries, mask.missing_indices()
-    )
-    coords = _batched_coords(stack, m)
+    _, coords = batched_mds(mask.filled(observed.entries, run.best_vector_history), m)
     return np.array(
         [
             align_and_evm(NodeLayout(coords[g].T), truth).evm_mean
@@ -443,7 +441,7 @@ def write_outputs(
             writer.writerow([_fmt(point[col]) for col in summary_cols])
     with open(paths["summary_json"], "w") as fh:
         json.dump(
-            {"config": cfg.to_dict(), "points": points}, fh, indent=2, sort_keys=True
+            {"config": asdict(cfg), "points": points}, fh, indent=2, sort_keys=True
         )
         fh.write("\n")
     return paths

@@ -280,9 +280,6 @@ class ClockModel:
             raise ValueError("tick period must be positive")
         self.offsets_s = offsets
 
-    def local_time(self, node: int, true_t: float) -> float:
-        return true_t + self.offsets_s[node]
-
     def edge_at_or_after(self, local_t: float) -> float:
         return math.ceil(local_t / self.tick_s) * self.tick_s
 
@@ -381,8 +378,8 @@ def _receive_leg(
     t_tx_local: float,
     tof_s: float,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Simulate one reception; returns (local receive stamp, true arrival)."""
+) -> float:
+    """Simulate one reception; returns the local receive stamp."""
     clocks = scenario.clocks
     fs = scenario.waveform.sample_rate_hz
     tx = scenario.waveform.samples
@@ -410,7 +407,7 @@ def _receive_leg(
     est_delay = qls_refine(corr, peak, scenario.lut)
     t_rx_local = (start_idx + est_delay) * clocks.tick_s
     t_rx_local -= scenario.calibration_s[sender, receiver]
-    return t_rx_local, t_arrival_local
+    return t_rx_local
 
 
 def simulate_exchange(
@@ -431,9 +428,9 @@ def simulate_exchange(
     tof = float(np.linalg.norm(x[:, i] - x[:, j])) / SPEED_OF_LIGHT
     tick = scenario.clocks.tick_s
     t_tx_i = int(rng.integers(0, 200_000)) * tick
-    rx_j, _ = _receive_leg(scenario, i, j, t_tx_i, tof, rng)
+    rx_j = _receive_leg(scenario, i, j, t_tx_i, tof, rng)
     t_tx_j = scenario.clocks.edge_at_or_after(rx_j + scenario.turnaround_s)
-    rx_i, _ = _receive_leg(scenario, j, i, t_tx_j, tof, rng)
+    rx_i = _receive_leg(scenario, j, i, t_tx_j, tof, rng)
     return TimestampQuad(tx_i_s=t_tx_i, rx_j_s=rx_j, tx_j_s=t_tx_j, rx_i_s=rx_i)
 
 

@@ -14,19 +14,26 @@ random immigrants each generation to keep exploring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .geometry import AdjacencyMask, CompletabilityError, Edm, NodeLayout, \
-    edm_from_points, is_completable
-from .mds import classical_mds
+    is_completable
+from .mds import _smallest_columns, batched_mds, classical_mds
 
 # Offspring bred per surviving parent each generation.  A wide brood with
 # rank survival keeps the best cost falling almost every generation, which
 # the windowed stall test below relies on.
 OFFSPRING_PER_PARENT = 3
+
+
+def require_int(name: str, value) -> None:
+    """Reject a count that is not an integer; a bool is not a count either."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -41,12 +48,15 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "max_generations", "convergence_window"):
+            require_int(name, getattr(self, name))
+        require_int("seed", self.seed)
         if self.population_size < 4:
             raise ValueError("population must have at least 4 individuals")
         if self.max_generations < 1:
             raise ValueError("need at least one generation")
-        if self.convergence_delta < 0:
-            raise ValueError("convergence threshold cannot be negative")
+        if not 0.0 <= self.convergence_delta < math.inf:
+            raise ValueError("convergence threshold must be finite and non-negative")
         if self.convergence_window < 1:
             raise ValueError("convergence window must be at least 1")
         if not 0.0 < self.parent_fraction <= 1.0:
@@ -67,56 +77,14 @@ class SolverRun:
     recovered_layout: NodeLayout
 
 
-def _completed_stack(
-    vectors: np.ndarray,
-    entries: np.ndarray,
-    pair_idx: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    rows, cols = pair_idx
-    stack = np.broadcast_to(entries, (vectors.shape[0],) + entries.shape).copy()
-    stack[:, rows, cols] = vectors
-    stack[:, cols, rows] = vectors
-    return stack
-
-
-def _smallest_columns(keys: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k smallest keys per row, ties to the lower column.
-
-    Equal to ``np.argsort(keys, axis=1, kind="stable")[:, :k]`` for finite
-    keys and k no larger than the row length, without sorting whole rows.
-    Overwrites ``keys``.
-    """
-    rows = np.arange(keys.shape[0])
-    picks = np.empty((keys.shape[0], k), dtype=np.intp)
-    for j in range(k):
-        picks[:, j] = keys.argmin(axis=1)
-        keys[rows, picks[:, j]] = np.inf
-    return picks
-
-
-def _batched_coords(stack: np.ndarray, m: int) -> np.ndarray:
-    """Classical MDS over a stack of complete matrices; coords as (P, N, m)."""
-    p, n = stack.shape[0], stack.shape[-1]
-    centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    gram = -0.5 * (centering @ stack @ centering.T)
-    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-    values, vectors = np.linalg.eigh(gram)
-    order = _smallest_columns(-np.abs(values), m)
-    rows = np.arange(p)[:, None]
-    leading = np.clip(values[rows, order], 0.0, None)
-    chosen = vectors[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]]
-    return np.sqrt(leading)[:, None, :] * chosen
-
-
 def _batched_costs(
     vectors: np.ndarray,
     entries: np.ndarray,
     weights: np.ndarray,
-    pair_idx: tuple[np.ndarray, np.ndarray],
+    mask: AdjacencyMask,
     m: int,
 ) -> np.ndarray:
-    stack = _completed_stack(vectors, entries, pair_idx)
-    coords = _batched_coords(stack, m)
+    _, coords = batched_mds(mask.filled(entries, vectors), m)
     sq_norms = np.sum(coords**2, axis=2)
     recon = (
         sq_norms[:, :, None]
@@ -127,37 +95,23 @@ def _batched_costs(
     return 0.5 * np.sum(residual**2, axis=(1, 2))
 
 
-def _zeroed_unobserved(
-    observed: Edm, pair_idx: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Copy of the observed matrix with 0 at every unobserved entry.
-
-    ``Edm`` accepts any value, NaN included, where the mask has no link.
-    The cost weights those entries by 0, and 0 * NaN would still be NaN.
-    """
-    rows, cols = pair_idx
-    entries = observed.entries.copy()
-    entries[rows, cols] = 0.0
-    entries[cols, rows] = 0.0
-    return entries
-
-
 def evaluate_cost(
     vector: np.ndarray, observed: Edm, mask: AdjacencyMask, m: int
 ) -> float:
     """Score one candidate completion against the observed entries."""
     if not 1 <= m <= observed.count:
         raise ValueError("target dimension must lie in [1, node count]")
-    pair_idx = mask.missing_indices()
+    n_missing = mask.missing_indices()[0].size
     vector = np.asarray(vector, dtype=float).reshape(1, -1)
-    if vector.shape[1] != pair_idx[0].size:
+    if vector.shape[1] != n_missing:
         raise ValueError(
-            f"candidate has {vector.shape[1]} entries, "
-            f"mask misses {pair_idx[0].size}"
+            f"candidate has {vector.shape[1]} entries, mask misses {n_missing}"
         )
-    entries = _zeroed_unobserved(observed, pair_idx)
+    # Edm accepts any value, NaN included, where the mask has no link; the
+    # cost weights those entries by 0, and 0 * NaN would still be NaN.
+    entries = mask.filled(observed.entries, 0.0)
     weights = mask.mask.astype(float)
-    return float(_batched_costs(vector, entries, weights, pair_idx, m)[0])
+    return float(_batched_costs(vector, entries, weights, mask, m)[0])
 
 
 def _geodesic_upper_bounds(
@@ -210,22 +164,9 @@ def complete_and_localize(
             "observation mask cannot anchor every node in the array"
         )
     pair_idx = mask.missing_indices()
-    entries = _zeroed_unobserved(observed, pair_idx)
+    entries = mask.filled(observed.entries, 0.0)  # no NaN where unobserved
     weights = mask.mask.astype(float)
     n_vars = pair_idx[0].size
-
-    if not n_vars:
-        layout = classical_mds(Edm(entries), m)
-        recon = edm_from_points(layout).entries
-        cost = 0.5 * float(np.sum(((entries - recon) * weights) ** 2))
-        return SolverRun(
-            best_cost_history=np.array([cost]),
-            best_vector_history=np.zeros((1, 0)),
-            best_vector=np.zeros(0),
-            generations_used=1,
-            converged=True,
-            recovered_layout=layout,
-        )
 
     lower = np.zeros(n_vars)
     upper = np.maximum(_geodesic_upper_bounds(observed, mask, pair_idx), 1e-12)
@@ -233,14 +174,14 @@ def complete_and_localize(
     pop_size = config.population_size
     n_parents = min(pop_size, max(4, round(config.parent_fraction * pop_size)))
     population = lower + (upper - lower) * rng.random((pop_size, n_vars))
-    costs = _batched_costs(population, entries, weights, pair_idx, m)
+    costs = _batched_costs(population, entries, weights, mask, m)
 
     best_idx = int(np.argmin(costs))
     best_cost = float(costs[best_idx])
     best_vector = population[best_idx].copy()
     cost_history = [best_cost]
     vector_history = [best_vector.copy()]
-    converged = False
+    converged = not n_vars  # a complete mask has nothing left to evolve
 
     n_kids = OFFSPRING_PER_PARENT * n_parents
     targets = np.tile(np.arange(n_parents), OFFSPRING_PER_PARENT)
@@ -272,7 +213,7 @@ def complete_and_localize(
             (pop_size - n_parents, n_vars)
         )
         scored = _batched_costs(
-            np.vstack([children, immigrants]), entries, weights, pair_idx, m
+            np.vstack([children, immigrants]), entries, weights, mask, m
         )
         child_costs, immigrant_costs = scored[:n_kids], scored[n_kids:]
         # Rank selection over parents and children together.  The incumbent
@@ -300,10 +241,7 @@ def complete_and_localize(
             if mean_drop <= config.convergence_delta * max(ref, 1e-300):
                 converged = True
 
-    completed = entries.copy()
-    completed[pair_idx[0], pair_idx[1]] = best_vector
-    completed[pair_idx[1], pair_idx[0]] = best_vector
-    layout = classical_mds(Edm(completed), m)
+    layout = classical_mds(Edm(mask.filled(entries, best_vector)), m)
     return SolverRun(
         best_cost_history=np.array(cost_history),
         best_vector_history=np.array(vector_history),

@@ -16,6 +16,7 @@ from arrayloc.geometry import (
     write_edm_csv,
     write_mask_csv,
 )
+from arrayloc.harness import load_config
 from arrayloc.snr import SampleMatrix, db_to_linear, write_sample_matrix_csv
 
 from conftest import REF_CRLB_SIGMA_M
@@ -169,6 +170,35 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
     )
     assert main(["sweep", "--config", str(infeasible)]) == 2
     capsys.readouterr()  # drain
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"solver": {"bogus": 1}},
+        {"layout": {"bogus": 1}},
+        {"trials": 2.5},
+        {"solver": {"population_size": 4.5}},
+        {"workers": True},
+        {"bandwidths_hz": [float("nan")]},
+        {"snr_h_db": float("nan")},
+    ],
+    ids=[
+        "solver-key", "layout-key", "float-trials", "float-population",
+        "bool-workers", "nan-bandwidth", "nan-snr",
+    ],
+)
+def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 1, **overrides}))
+    with pytest.raises(ValueError):  # before any trial starts
+        load_config(cfg_path)
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_crlb_subcommand_rejects_bad_arguments(capsys):

@@ -81,6 +81,19 @@ def test_evm_consistent_under_relabeling(rng):
     assert np.allclose(permuted.evm_per_node, base.evm_per_node[perm], atol=1e-12)
 
 
+def test_evm_does_not_depend_on_memory_layout(rng):
+    # A transposed view and a C-ordered copy of the same coordinates must
+    # give the same bits, as the per-generation EVM replay and the final
+    # layout hold one and the other.
+    for n in (8, 12, 16):
+        truth = NodeLayout(rng.uniform(-1, 1, size=(2, n)))
+        for _ in range(20):
+            points = rng.uniform(-1, 1, size=(n, 2))
+            view = align_and_evm(NodeLayout(points.T), truth)
+            copy = align_and_evm(NodeLayout(points.T.copy()), truth)
+            assert view.evm_mean == copy.evm_mean
+
+
 def test_align_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         align_and_evm(NodeLayout(np.zeros((2, 4))), NodeLayout(np.zeros((2, 5))))

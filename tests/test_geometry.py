@@ -210,6 +210,33 @@ def test_missing_indices_match_missing_pairs_row_major(rng):
         assert mask.missing_pairs() == expected
 
 
+def test_filled_writes_missing_pairs_of_one_matrix_or_a_stack(rng):
+    adj = np.triu(rng.random((7, 7)) < 0.6, 1)
+    mask = AdjacencyMask(adj | adj.T)
+    entries = rng.uniform(0.0, 9.0, size=(7, 7))
+    before = entries.copy()
+    rows, cols = mask.missing_indices()
+    values = rng.uniform(10.0, 20.0, size=(3, rows.size))
+    stack = mask.filled(entries, values)
+    assert stack.shape == (3, 7, 7)
+    for p in range(3):
+        one = mask.filled(entries, values[p])
+        assert np.array_equal(one, stack[p])
+        assert np.array_equal(one[rows, cols], values[p])
+        assert np.array_equal(one[cols, rows], values[p])
+        assert np.array_equal(one[mask.mask], entries[mask.mask])
+    assert np.array_equal(entries, before)
+
+
+def test_layout_coords_are_c_contiguous(rng):
+    # Downstream BLAS calls sum a transposed view in another order, so the
+    # same coordinates must always arrive in the same memory layout.
+    points = rng.uniform(-1, 1, size=(16, 2))
+    layout = NodeLayout(points.T)
+    assert layout.coords.flags.c_contiguous
+    assert np.array_equal(layout.coords, points.T)
+
+
 def test_mask_edm_dimension_mismatch():
     edm = edm_from_points(NodeLayout(np.zeros((2, 4))))
     with pytest.raises(ValueError):

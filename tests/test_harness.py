@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -84,6 +85,12 @@ def test_config_rejects_bad_values():
         ExperimentConfig(bandwidths_hz=[300e6])  # above the sample rate
     with pytest.raises(ValueError):
         ExperimentConfig(workers=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(array_sizes=[6.0])
+    with pytest.raises(ValueError):
+        ExperimentConfig(seed=False)
+    with pytest.raises(ValueError):
+        ExperimentConfig(pulse_s=float("inf"))
 
 
 def test_signal_level_guard_rails():
@@ -184,6 +191,10 @@ def test_layout_spec_validation():
         LayoutSpec(kind="circle", radial_jitter=1.5)
     with pytest.raises(ValueError):
         LayoutSpec(kind="file", path=None)
+    with pytest.raises(ValueError):
+        LayoutSpec(extent_m=float("nan"))
+    with pytest.raises(ValueError):
+        LayoutSpec(kind="circle", min_separation_m=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +308,22 @@ def test_outputs_on_disk(tmp_path):
     assert summary["config"]["seed"] == 5
     assert len(summary["points"]) == 1
     assert set(paths) == {"records", "convergence", "summary_csv", "summary_json"}
+
+
+def test_evm_replay_ends_at_the_final_layout(tmp_path):
+    # The per-generation EVM replay and the recovered layout come from the
+    # same MDS core, so the last replayed EVM is the final EVM exactly.
+    cfg = _tiny_config(
+        array_sizes=[6, 8], connectivities=[0.8, 1.0], trials=3, noiseless=False
+    )
+    run_and_write(cfg, tmp_path / "out")
+    with open(tmp_path / "out" / "convergence.csv", newline="") as fh:
+        last = {row["trial_id"]: row["evm_m"] for row in csv.DictReader(fh)}
+    with open(tmp_path / "out" / "records.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert len(records) == 12
+    for row in records:
+        assert last[row["trial_id"]] == row["final_evm_m"]
 
 
 def test_wall_time_not_serialized(tmp_path):

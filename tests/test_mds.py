@@ -5,7 +5,7 @@ import pytest
 
 from arrayloc.evaluation import align_and_evm
 from arrayloc.geometry import AdjacencyMask, Edm, NodeLayout, edm_from_points, mask_edm
-from arrayloc.mds import classical_mds, eigen_by_magnitude, gram_from_edm
+from arrayloc.mds import batched_mds, classical_mds, gram_from_edm, leading_eigenpairs
 
 
 def test_gram_two_node_hand_value():
@@ -54,15 +54,29 @@ def test_gram_centering_vector_must_sum_to_one():
         gram_from_edm(edm, s=np.array([1.0, 0.0, 0.0]))
 
 
-def test_eigen_by_magnitude_ordering(rng):
+def test_leading_eigenpairs_by_magnitude(rng):
     a = rng.standard_normal((8, 8))
-    system = eigen_by_magnitude(a + a.T)
-    mags = np.abs(system.values)
+    values, vectors = leading_eigenpairs((a + a.T)[None], 8)
+    values, vectors = values[0], vectors[0]
+    mags = np.abs(values)
     assert np.all(mags[:-1] >= mags[1:] - 1e-12)
-    assert np.allclose(system.vectors.T @ system.vectors, np.eye(8), atol=1e-10)
+    assert np.allclose(vectors.T @ vectors, np.eye(8), atol=1e-10)
     # eigenpairs actually decompose the matrix
-    recon = system.vectors @ np.diag(system.values) @ system.vectors.T
+    recon = vectors @ np.diag(values) @ vectors.T
     assert np.allclose(recon, a + a.T, atol=1e-10)
+
+
+def test_classical_mds_is_the_single_matrix_case_of_the_batch(rng):
+    stack = []
+    for _ in range(5):
+        x = rng.uniform(0, 5, size=(2, 9))
+        noise = np.triu(rng.normal(0.0, 1e-3, size=(9, 9)), 1)
+        d = np.clip(edm_from_points(NodeLayout(x)).entries + noise + noise.T, 0, None)
+        np.fill_diagonal(d, 0.0)
+        stack.append(d)
+    _, coords = batched_mds(np.array(stack), 2)
+    for d, batch in zip(stack, coords):
+        assert np.array_equal(classical_mds(Edm(d), 2).coords, batch.T)
 
 
 def test_mds_two_points_on_a_line():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -108,6 +108,87 @@ def test_cost_ignores_nan_at_unobserved_entries(rng):
     )
 
 
+def test_complete_mask_cost_is_the_batched_cost(wave40):
+    # with nothing missing the solver still scores the mask through the
+    # one batched cost, so it equals evaluate_cost bit for bit
+    mask = AdjacencyMask.complete(6)
+    for t in range(10):
+        rng = np.random.default_rng((23, t))
+        layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 6)))
+        observed = sample_edm_statistical(
+            layout, mask, db_to_linear(34.0), wave40, rng
+        )
+        run = complete_and_localize(observed, mask, 2)
+        cost = evaluate_cost(np.zeros(0), observed, mask, 2)
+        assert cost > 0.0
+        assert cost == run.best_cost_history[-1]
+
+
+# ---------------------------------------------------------------------------
+# cost invariants: node relabelling, rigid motion, distance scale
+# ---------------------------------------------------------------------------
+
+
+def _noisy_candidate(seed, n, points=None):
+    """Noisy masked EDM of a random layout and a random candidate vector."""
+    rng = np.random.default_rng(seed)
+    if points is None:
+        points = rng.uniform(0.0, 5.0, size=(2, n))
+    mask = random_completable_mask(n, 0.8, rng)
+    noise = np.triu(rng.normal(0.0, 0.05, size=(n, n)), 1)
+    full = edm_from_points(NodeLayout(points)).entries
+    entries = np.clip(full + noise + noise.T, 0.0, None)
+    vector = rng.uniform(0.0, 50.0, size=mask.missing_indices()[0].size)
+    return Edm(entries, observed=mask), mask, vector
+
+
+_invariant_cases = given(st.integers(0, 2**32 - 1), st.integers(6, 9))
+
+
+@settings(max_examples=20, deadline=None)
+@_invariant_cases
+def test_cost_is_invariant_to_node_relabelling(seed, n):
+    observed, mask, vector = _noisy_candidate(seed, n)
+    perm = np.random.default_rng(seed + 1).permutation(n)
+    relabel = np.ix_(perm, perm)
+    new_mask = AdjacencyMask(mask.mask[relabel])
+    candidate = mask.filled(observed.entries, vector)[relabel]
+    new_vector = candidate[new_mask.missing_indices()]
+    new_observed = Edm(observed.entries[relabel], observed=new_mask)
+    base = evaluate_cost(vector, observed, mask, 2)
+    assert evaluate_cost(new_vector, new_observed, new_mask, 2) == pytest.approx(
+        base, rel=1e-9
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@_invariant_cases
+def test_cost_is_invariant_to_rigid_motion(seed, n):
+    points = np.random.default_rng(seed).uniform(0.0, 5.0, size=(2, n))
+    angle = np.random.default_rng(seed + 1).uniform(0.0, 2.0 * np.pi)
+    rotation = np.array(
+        [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    )
+    moved = rotation @ points + np.array([[3.0], [-7.0]])
+    observed, mask, vector = _noisy_candidate(seed, n, points)
+    moved_observed, _, _ = _noisy_candidate(seed, n, moved)
+    base = evaluate_cost(vector, observed, mask, 2)
+    assert evaluate_cost(vector, moved_observed, mask, 2) == pytest.approx(
+        base, rel=1e-9
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 9), st.floats(0.1, 10.0))
+def test_cost_scales_by_s4_when_distances_scale_by_s2(seed, n, s):
+    observed, mask, vector = _noisy_candidate(seed, n)
+    scaled = Edm(observed.entries * s**2, observed=mask)
+    base = evaluate_cost(vector, observed, mask, 2)
+    assert evaluate_cost(vector * s**2, scaled, mask, 2) == pytest.approx(
+        base * s**4, rel=1e-9
+    )
+
+
 # ---------------------------------------------------------------------------
 # selection helpers: exact stable-argsort order, ties included
 # ---------------------------------------------------------------------------
@@ -166,6 +247,12 @@ def test_config_validation():
         SolverConfig(differential_weight=0.0)
     with pytest.raises(ValueError):
         SolverConfig(convergence_delta=-1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(convergence_delta=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(max_generations=10.0)
+    with pytest.raises(ValueError):
+        SolverConfig(convergence_window=True)
 
 
 # ---------------------------------------------------------------------------
