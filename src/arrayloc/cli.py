@@ -31,15 +31,6 @@ from .snr import blind_snr_estimate, db_to_linear, linear_to_db, read_sample_mat
 from .solver import SolverConfig, complete_and_localize
 
 
-def _print_layout(layout, out: str | None) -> None:
-    if out:
-        write_layout_csv(out, layout)
-        return
-    print(",".join(f"n{i}" for i in range(layout.count)))
-    for row in layout.coords:
-        print(",".join(repr(float(v)) for v in row))
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig(
         array_sizes=[args.nodes],
@@ -92,7 +83,7 @@ def _cmd_crlb(args: argparse.Namespace) -> int:
 def _cmd_mds(args: argparse.Namespace) -> int:
     edm = read_edm_csv(args.edm)
     layout = classical_mds(edm, args.dim)
-    _print_layout(layout, args.out)
+    write_layout_csv(args.out or sys.stdout, layout)
     return 0
 
 
@@ -101,7 +92,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     edm = read_edm_csv(args.edm, mask=mask)
     config = SolverConfig(seed=args.seed)
     run = complete_and_localize(edm, mask, args.dim, config)
-    _print_layout(run.recovered_layout, args.out)
+    write_layout_csv(args.out or sys.stdout, run.recovered_layout)
     print(
         f"cost={float(run.best_cost_history[-1])!r} "
         f"generations={run.generations_used} "

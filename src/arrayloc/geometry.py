@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -261,53 +262,79 @@ def mask_edm(full: Edm, mask: AdjacencyMask) -> Edm:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: header row "n0,n1,...", one matrix/layout row per line.
+# CSV: one dialect for every table arrayloc reads or writes.  A header row,
+# then one row per line with "\n" ends; floats as repr, ints as digits,
+# bools as 1/0 and None as inf.  Matrices use the header "n0,n1,...".
 # ---------------------------------------------------------------------------
 
 
-def _write_rows(path: str | Path, rows: np.ndarray) -> None:
-    rows = np.asarray(rows)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"n{i}" for i in range(rows.shape[1])])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if value is None:
+        return "inf"
+    return repr(float(value))
 
 
-def _read_rows(path: str | Path) -> np.ndarray:
+def write_csv(target: str | Path | TextIO, header: list[str], rows: Iterable) -> None:
+    """Write ``header`` and ``rows`` to a path or an open text stream."""
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="") as fh:
+            return write_csv(fh, header, rows)
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_csv(
+    path: str | Path,
+    header_ok: Callable[[list[str]], bool] = lambda header: header[0].startswith("n"),
+    expected: str = "'n0,n1,...'",
+) -> np.ndarray:
+    """Float rows under a header that ``header_ok`` accepts; errors name the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or not header[0].startswith("n"):
-            raise ValueError(f"{path}: missing 'n0,n1,...' header row")
-        data = [[float(v) for v in row] for row in reader if row]
+        data = []
+        try:
+            header = next(reader, None)
+            if not header or not header_ok(header):
+                raise ValueError(f"missing {expected} header row")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells under {len(header)} columns")
+                data.append([float(v) for v in row])
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not data:
         raise ValueError(f"{path}: no data rows")
-    arr = np.array(data, dtype=float)
-    if arr.shape[1] != len(header):
-        raise ValueError(f"{path}: row width does not match header")
-    return arr
+    return np.array(data)
 
 
-def write_layout_csv(path: str | Path, layout: NodeLayout) -> None:
-    _write_rows(path, layout.coords)
+def _node_header(n: int) -> list[str]:
+    return [f"n{i}" for i in range(n)]
+
+
+def write_layout_csv(path: str | Path | TextIO, layout: NodeLayout) -> None:
+    write_csv(path, _node_header(layout.count), layout.coords)
 
 
 def read_layout_csv(path: str | Path) -> NodeLayout:
-    return NodeLayout(_read_rows(path))
+    return NodeLayout(read_csv(path))
 
 
 def write_edm_csv(path: str | Path, edm: Edm) -> None:
-    _write_rows(path, edm.entries)
+    write_csv(path, _node_header(edm.count), edm.entries)
 
 
 def read_edm_csv(path: str | Path, mask: AdjacencyMask | None = None) -> Edm:
-    return Edm(_read_rows(path), observed=mask)
+    return Edm(read_csv(path), observed=mask)
 
 
 def write_mask_csv(path: str | Path, mask: AdjacencyMask) -> None:
-    _write_rows(path, mask.mask.astype(float))
+    write_csv(path, _node_header(mask.count), mask.mask.astype(float))
 
 
 def read_mask_csv(path: str | Path) -> AdjacencyMask:
-    return AdjacencyMask(_read_rows(path) != 0.0)
+    return AdjacencyMask(read_csv(path) != 0.0)

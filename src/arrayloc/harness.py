@@ -9,12 +9,12 @@ across runs with the same config and seed.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .geometry import (
     min_edges,
     random_completable_mask,
     read_layout_csv,
+    write_csv,
 )
 from .mds import batched_mds
 from .ranging import (
@@ -131,8 +132,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.array_sizes or not self.connectivities or not self.bandwidths_hz:
             raise ValueError("sweep lists must be non-empty")
+        for name, kind in (("layout", LayoutSpec), ("solver", SolverConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be an object, got {value!r}")
         for name in ("trials", "dim", "seed", "workers"):
             require_int(name, getattr(self, name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         scalars = (self.snr_h_db, self.pulse_s, self.sample_rate_hz, self.rise_fall_s)
         numbers = (*scalars, *self.connectivities, *self.bandwidths_hz)
         if not all(math.isfinite(x) for x in numbers):
@@ -376,16 +383,6 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
     return points
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return "inf"
-    return repr(float(value))
-
-
 def write_outputs(
     cfg: ExperimentConfig, records: list[TrialRecord], out_dir: str | Path
 ) -> dict[str, Path]:
@@ -414,31 +411,16 @@ def write_outputs(
         "generations_used",
         "converged",
     ]
-    with open(paths["records"], "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(record_cols)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, col)) for col in record_cols])
-    with open(paths["convergence"], "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial_id", "generation", "cost", "evm_m"])
-        for rec in records:
-            for g in range(rec.generations_used):
-                writer.writerow(
-                    [
-                        str(rec.trial_id),
-                        str(g),
-                        _fmt(rec.cost_history[g]),
-                        _fmt(rec.evm_history[g]),
-                    ]
-                )
+    write_csv(paths["records"], record_cols, map(attrgetter(*record_cols), records))
+    steps = (
+        (rec.trial_id, g, rec.cost_history[g], rec.evm_history[g])
+        for rec in records
+        for g in range(rec.generations_used)
+    )
+    write_csv(paths["convergence"], ["trial_id", "generation", "cost", "evm_m"], steps)
     points = summarize(records)
     summary_cols = list(points[0].keys()) if points else []
-    with open(paths["summary_csv"], "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(summary_cols)
-        for point in points:
-            writer.writerow([_fmt(point[col]) for col in summary_cols])
+    write_csv(paths["summary_csv"], summary_cols, (p.values() for p in points))
     with open(paths["summary_json"], "w") as fh:
         json.dump(
             {"config": asdict(cfg), "points": points}, fh, indent=2, sort_keys=True

@@ -13,7 +13,6 @@ which is what makes ranging between unsynchronized nodes possible.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import AdjacencyMask, Edm, NodeLayout, edm_from_points
+from .geometry import AdjacencyMask, Edm, NodeLayout, edm_from_points, write_csv
 from .snr import link_snr_matrix
 
 DEFAULT_RISE_FALL_S = 50e-9
@@ -109,11 +108,8 @@ def synth_two_tone(
 
 def write_waveform_csv(path: str | Path, waveform: TwoToneWaveform) -> None:
     """Dump baseband samples as i,q columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "q"])
-        for v in waveform.samples:
-            writer.writerow([repr(float(v.real)), repr(float(v.imag))])
+    s = waveform.samples
+    write_csv(path, ["i", "q"], np.column_stack([s.real, s.imag]))
 
 
 def crlb_sigma_d(bandwidth_hz, pulse_s, snr_linear, sample_rate_hz):

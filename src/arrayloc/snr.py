@@ -9,7 +9,6 @@ covariance over repeated capture windows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Edm
+from .geometry import Edm, read_csv, write_csv
 
 
 def db_to_linear(db: float) -> float:
@@ -124,29 +123,14 @@ def blind_snr_estimate(samples: SampleMatrix) -> SnrEstimate:
 def write_sample_matrix_csv(path: str | Path, samples: SampleMatrix) -> None:
     """Dump capture windows as interleaved I/Q columns (w0_i, w0_q, ...)."""
     s = samples.windows
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = []
-        for k in range(s.shape[1]):
-            header += [f"w{k}_i", f"w{k}_q"]
-        writer.writerow(header)
-        for row in s:
-            flat = []
-            for v in row:
-                flat += [repr(float(v.real)), repr(float(v.imag))]
-            writer.writerow(flat)
+    header = [f"w{k}_{part}" for k in range(s.shape[1]) for part in "iq"]
+    write_csv(path, header, np.stack([s.real, s.imag], axis=2).reshape(len(s), -1))
 
 
 def read_sample_matrix_csv(path: str | Path) -> SampleMatrix:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) % 2 != 0 or not header[0].startswith("w"):
-            raise ValueError(f"{path}: expected interleaved I/Q columns w0_i,w0_q,...")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no sample rows")
-    arr = np.array(rows)
-    if arr.shape[1] != len(header):
-        raise ValueError(f"{path}: row width does not match header")
+    arr = read_csv(
+        path,
+        lambda header: len(header) % 2 == 0 and header[0].startswith("w"),
+        "interleaved I/Q 'w0_i,w0_q,...'",
+    )
     return SampleMatrix(arr[:, 0::2] + 1j * arr[:, 1::2])

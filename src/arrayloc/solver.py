@@ -51,6 +51,8 @@ class SolverConfig:
         for name in ("population_size", "max_generations", "convergence_window"):
             require_int(name, getattr(self, name))
         require_int("seed", self.seed)
+        if self.seed < 0:
+            raise ValueError(f"solver seed must be non-negative, got {self.seed}")
         if self.population_size < 4:
             raise ValueError("population must have at least 4 individuals")
         if self.max_generations < 1:

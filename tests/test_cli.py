@@ -182,10 +182,14 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         {"workers": True},
         {"bandwidths_hz": [float("nan")]},
         {"snr_h_db": float("nan")},
+        {"layout": 5},
+        {"solver": [1]},
+        {"seed": -1},
     ],
     ids=[
         "solver-key", "layout-key", "float-trials", "float-population",
-        "bool-workers", "nan-bandwidth", "nan-snr",
+        "bool-workers", "nan-bandwidth", "nan-snr", "int-layout", "list-solver",
+        "negative-seed",
     ],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):
@@ -199,6 +203,18 @@ def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_mds_stdout_is_the_out_file(tmp_path, capsys):
+    points = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, 5))
+    edm_path = tmp_path / "edm.csv"
+    write_edm_csv(edm_path, edm_from_points(NodeLayout(points)))
+    assert main(["mds", "--edm", str(edm_path)]) == 0
+    printed = capsys.readouterr().out
+    out_path = tmp_path / "layout.csv"
+    assert main(["mds", "--edm", str(edm_path), "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode() == out_path.read_bytes()
 
 
 def test_crlb_subcommand_rejects_bad_arguments(capsys):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrayloc.geometry import (
     AdjacencyMask,
@@ -23,6 +27,7 @@ from arrayloc.geometry import (
     write_layout_csv,
     write_mask_csv,
 )
+from arrayloc.snr import read_sample_matrix_csv
 
 
 def _strip_node_to_two_edges(n: int, node: int) -> AdjacencyMask:
@@ -153,6 +158,31 @@ def test_stripping_a_node_breaks_completability(rng):
         n = int(rng.integers(5, 12))
         node = int(rng.integers(0, n))
         assert not is_completable(_strip_node_to_two_edges(n, node))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(6, 12),
+    st.sampled_from(["completable", "cut", "random"]),
+)
+def test_completability_is_invariant_to_node_relabelling(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        mask = AdjacencyMask(upper | upper.T)
+    else:
+        mask = random_completable_mask(n, rng.uniform(min_connectivity(n), 1.0), rng)
+    if kind == "cut":  # a node left with two links can never be resolved
+        adj = mask.mask.copy()
+        extra = np.flatnonzero(adj[0])[2:]
+        adj[0, extra] = adj[extra, 0] = False
+        mask = AdjacencyMask(adj)
+    answer = is_completable(mask)
+    if kind != "random":
+        assert answer == (kind == "completable")
+    perm = rng.permutation(n)
+    assert is_completable(AdjacencyMask(mask.mask[np.ix_(perm, perm)])) == answer
 
 
 def test_mask_budget_below_minimum_rejected(rng):
@@ -325,11 +355,27 @@ def test_mask_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(back.mask, mask.mask)
 
 
-def test_csv_rejects_missing_header(tmp_path):
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1.0,2.0\n3.0,4.0\n",
+        "{h}\n1.0,2.0\n3.0\n",
+        "{h}\n1.0,x\n",
+        "{h}\n",
+        "{h}\n1.0,\xff\n",
+    ],
+    ids=["no-header", "ragged-row", "non-numeric", "header-only", "not-utf8"],
+)
+@pytest.mark.parametrize(
+    "header, reader",
+    [("n0,n1", read_layout_csv), ("w0_i,w0_q", read_sample_matrix_csv)],
+    ids=["nodes", "iq"],
+)
+def test_csv_read_errors_name_the_file(tmp_path, header, reader, body):
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n")
-    with pytest.raises(ValueError):
-        read_layout_csv(path)
+    path.write_bytes(body.format(h=header).encode("latin-1"))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        reader(path)
 
 
 def test_completability_error_is_raisable():

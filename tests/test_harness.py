@@ -17,6 +17,7 @@ from arrayloc.harness import (
     run_and_write,
     run_experiment,
     summarize,
+    write_outputs,
 )
 
 
@@ -308,6 +309,39 @@ def test_outputs_on_disk(tmp_path):
     assert summary["config"]["seed"] == 5
     assert len(summary["points"]) == 1
     assert set(paths) == {"records", "convergence", "summary_csv", "summary_json"}
+
+
+def test_output_csv_bytes(tmp_path):
+    # ints as digits, bools as 1/0, floats as repr, a None cell as inf
+    records = [
+        _record(
+            0.0,
+            cost_history=np.array([2.5, 0.125]),
+            evm_history=np.array([0.5, 0.0]),
+            final_cost=0.125,
+            generations_used=2,
+        ),
+        _record(0.0, trial_id=1, trial_seed=1, final_cost=1e-7, converged=False),
+    ]
+    paths = write_outputs(_tiny_config(), records, tmp_path / "out")
+    assert paths["records"].read_bytes() == (
+        b"trial_id,n_nodes,connectivity,bandwidth_hz,trial_seed,final_cost,"
+        b"final_evm_m,final_evm_rms_m,generations_used,converged\n"
+        b"0,6,0.8,40000000.0,0,0.125,0.0,0.0,2,1\n"
+        b"1,6,0.8,40000000.0,1,1e-07,0.0,0.0,1,0\n"
+    )
+    assert paths["convergence"].read_bytes() == (
+        b"trial_id,generation,cost,evm_m\n"
+        b"0,0,2.5,0.5\n"
+        b"0,1,0.125,0.0\n"
+        b"1,0,1.0,0.0\n"
+    )
+    assert paths["summary_csv"].read_bytes() == (
+        b"n_nodes,connectivity,bandwidth_hz,trials,mean_final_evm_m,"
+        b"median_final_evm_m,std_final_evm_m,mean_generations,"
+        b"median_generations,convergence_rate,max_beamform_freq_hz\n"
+        b"6,0.8,40000000.0,2,0.0,0.0,0.0,1.5,1.5,0.5,inf\n"
+    )
 
 
 def test_evm_replay_ends_at_the_final_layout(tmp_path):

@@ -253,6 +253,8 @@ def test_config_validation():
         SolverConfig(max_generations=10.0)
     with pytest.raises(ValueError):
         SolverConfig(convergence_window=True)
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
