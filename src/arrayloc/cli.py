@@ -24,7 +24,9 @@ from .geometry import (
     read_mask_csv,
     write_layout_csv,
 )
-from .harness import ExperimentConfig, load_config, run_experiment, write_outputs
+from .harness import (
+    ExperimentConfig, LayoutSpec, load_config, run_experiment, write_outputs,
+)
 from .mds import classical_mds
 from .ranging import crlb_sigma_d
 from .snr import blind_snr_estimate, db_to_linear, linear_to_db, read_sample_matrix_csv
@@ -42,9 +44,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sample_rate_hz=args.fs,
         ranging_mode=args.mode,
         noiseless=args.noiseless,
+        layout=LayoutSpec(extent_m=args.extent),
         seed=args.seed,
     )
-    cfg.layout.extent_m = args.extent
     record = run_experiment(cfg)[0]
     print(f"final_evm_m={record.final_evm_m!r}")
     print(f"final_evm_rms_m={record.final_evm_rms_m!r}")

@@ -170,6 +170,23 @@ def min_edges(n: int) -> int:
     return 3 * n - 6
 
 
+def edge_budget(n: int, c: float) -> int:
+    """Links of an n-node mask at connectivity c: c * max_edges, half rounded up.
+
+    Raises ValueError unless c lies in (0, 1] and the budget keeps the
+    ``min_edges(n)`` links that a rigid 2-D resolution needs.
+    """
+    if not 0.0 < c <= 1.0:
+        raise ValueError(f"connectivity must lie in (0, 1], got {c}")
+    budget = math.floor(c * max_edges(n) + 0.5)
+    if budget < min_edges(n):
+        raise ValueError(
+            f"connectivity {c} infeasible for {n} nodes: "
+            f"{budget} < {min_edges(n)} edges"
+        )
+    return budget
+
+
 def min_connectivity(n: int) -> float:
     return min_edges(n) / max_edges(n)
 
@@ -220,21 +237,13 @@ def is_completable(mask: AdjacencyMask, m: int = 2) -> bool:
 def random_completable_mask(
     n: int, c: float, rng: np.random.Generator
 ) -> AdjacencyMask:
-    """Random mask with round(c * max_edges) links, completable by construction.
+    """Random mask with ``edge_budget(n, c)`` links, completable by construction.
 
     A random complete quadrilateral seeds the graph, every further node is
     attached to three already-placed nodes, and leftover edge budget is spent
     on uniformly random extra links.
     """
-    if n < 4:
-        raise ValueError("need at least 4 nodes")
-    if not 0.0 < c <= 1.0:
-        raise ValueError("connectivity must lie in (0, 1]")
-    budget = math.floor(c * max_edges(n) + 0.5)
-    if budget < min_edges(n):
-        raise ValueError(
-            f"edge budget {budget} below structural minimum {min_edges(n)}"
-        )
+    budget = edge_budget(n, c)
     adj = np.zeros((n, n), dtype=bool)
     order = rng.permutation(n)
     seed, rest = order[:4], order[4:]
@@ -246,7 +255,7 @@ def random_completable_mask(
             adj[node, placed[k]] = adj[placed[k], node] = True
         placed.append(node)
     free = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i, j]]
-    extra = budget - 6 - 3 * (n - 4)
+    extra = budget - min_edges(n)
     if extra:
         for k in rng.choice(len(free), size=extra, replace=False):
             i, j = free[k]
@@ -256,8 +265,6 @@ def random_completable_mask(
 
 def mask_edm(full: Edm, mask: AdjacencyMask) -> Edm:
     """Attach an observation mask; entries are kept intact, not zeroed."""
-    if full.count != mask.count:
-        raise ValueError("mask size does not match matrix size")
     return Edm(full.entries.copy(), observed=mask)
 
 

@@ -25,16 +25,16 @@ from .geometry import (
     AdjacencyMask,
     Edm,
     NodeLayout,
+    edge_budget,
     edm_from_points,
     mask_edm,
-    max_edges,
-    min_edges,
     random_completable_mask,
     read_layout_csv,
     write_csv,
 )
 from .mds import batched_mds
 from .ranging import (
+    check_waveform,
     make_scenario,
     sample_edm_statistical,
     simulate_exchange,
@@ -96,11 +96,11 @@ def draw_layout(spec: LayoutSpec, n: int, rng: np.random.Generator) -> NodeLayou
             1.0 + rng.uniform(-spec.radial_jitter, spec.radial_jitter, size=n)
         )
         coords = np.vstack([radii * np.cos(angles), radii * np.sin(angles)])
-        diff = coords[:, :, None] - coords[:, None, :]
-        dist = np.sqrt(np.einsum("kij,kij->ij", diff, diff))
+        layout = NodeLayout(coords)
+        dist = np.sqrt(edm_from_points(layout).entries)
         np.fill_diagonal(dist, np.inf)
         if dist.min() >= spec.min_separation_m:
-            return NodeLayout(coords)
+            return layout
     raise ValueError(
         f"cannot place {n} nodes on a {spec.radius_m} m ring with "
         f"{spec.min_separation_m} m separation"
@@ -156,22 +156,12 @@ class ExperimentConfig:
             raise ValueError("harmonic-mean SNR is implausibly large")
         for n in self.array_sizes:
             require_int("array size", n)
-            if n < 4:
-                raise ValueError("arrays need at least 4 nodes")
             for c in self.connectivities:
-                if not 0.0 < c <= 1.0:
-                    raise ValueError("connectivity must lie in (0, 1]")
-                budget = math.floor(c * max_edges(n) + 0.5)
-                if budget < min_edges(n):
-                    raise ValueError(
-                        f"connectivity {c} infeasible for {n} nodes: "
-                        f"{budget} < {min_edges(n)} edges"
-                    )
+                edge_budget(n, c)
         for b in self.bandwidths_hz:
-            if not self.noiseless and b <= 0:
-                raise ValueError("tone separation must be positive")
-            if b >= self.sample_rate_hz:
-                raise ValueError("tone separation must be below the sample rate")
+            check_waveform(b, self.pulse_s, self.sample_rate_hz, self.rise_fall_s)
+            if not self.noiseless and b == 0:
+                raise ValueError("noisy ranging needs a nonzero tone separation")
         if self.ranging_mode == "signal_level" and not self.allow_large_signal_level:
             if max(self.array_sizes) > SIGNAL_LEVEL_MAX_NODES:
                 raise ValueError(
@@ -293,16 +283,13 @@ def _run_trial(task: _TrialTask) -> TrialRecord:
     snr_h = db_to_linear(cfg.snr_h_db)
     if cfg.noiseless:
         observed = mask_edm(edm_from_points(layout), mask)
-    elif cfg.ranging_mode == "statistical":
-        waveform = synth_two_tone(
-            task.b, cfg.pulse_s, cfg.sample_rate_hz, cfg.rise_fall_s
-        )
-        observed = sample_edm_statistical(layout, mask, snr_h, waveform, rng_noise)
     else:
         waveform = synth_two_tone(
             task.b, cfg.pulse_s, cfg.sample_rate_hz, cfg.rise_fall_s
         )
-        observed = _signal_level_edm(layout, mask, snr_h, waveform, rng_noise)
+        statistical = cfg.ranging_mode == "statistical"
+        sample = sample_edm_statistical if statistical else _signal_level_edm
+        observed = sample(layout, mask, snr_h, waveform, rng_noise)
 
     started = time.perf_counter()
     run = complete_and_localize(observed, mask, cfg.dim, cfg.solver, rng_solver)

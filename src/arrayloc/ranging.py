@@ -52,6 +52,18 @@ class TwoToneWaveform:
     samples: np.ndarray
 
 
+def check_waveform(bandwidth_hz, pulse_s, sample_rate_hz, rise_fall_s) -> None:
+    """Raise ValueError unless the parameters give a valid two-tone pulse."""
+    if pulse_s <= 0 or sample_rate_hz <= 0:
+        raise ValueError("pulse duration and sample rate must be positive")
+    if bandwidth_hz < 0:
+        raise ValueError("tone separation cannot be negative")
+    if bandwidth_hz >= sample_rate_hz:
+        raise ValueError("tone separation must be below the sample rate")
+    if rise_fall_s < 0 or pulse_s < 10 * rise_fall_s:
+        raise ValueError("pulse must be at least 10x the rise/fall time")
+
+
 def synth_two_tone(
     bandwidth_hz: float,
     pulse_s: float,
@@ -67,14 +79,7 @@ def synth_two_tone(
         sample_rate_hz: complex sample rate; must exceed B.
         rise_fall_s: raised-cosine ramp length at each end.
     """
-    if pulse_s <= 0 or sample_rate_hz <= 0:
-        raise ValueError("pulse duration and sample rate must be positive")
-    if bandwidth_hz < 0:
-        raise ValueError("tone separation cannot be negative")
-    if bandwidth_hz >= sample_rate_hz:
-        raise ValueError("tone separation must be below the sample rate")
-    if rise_fall_s < 0 or pulse_s < 10 * rise_fall_s:
-        raise ValueError("pulse must be at least 10x the rise/fall time")
+    check_waveform(bandwidth_hz, pulse_s, sample_rate_hz, rise_fall_s)
     if bandwidth_hz == 0.0:
         warnings.warn(
             "zero tone separation: single-tone pulse carries no delay "
@@ -451,16 +456,12 @@ def sample_edm_statistical(
     """
     if layout.count != mask.count:
         raise ValueError("mask size must match node count")
-    if snr_h_linear <= 0:
-        raise ValueError("harmonic-mean SNR must be positive")
     full = edm_from_points(layout)
     n = layout.count
     iu = np.triu_indices(n, 1)
+    snr = link_snr_matrix(full, snr_h_linear)[iu]
     z = rng.standard_normal(iu[0].size)
     d = np.sqrt(full.entries[iu])
-    mean_sq = float(full.entries[iu].mean())
-    with np.errstate(divide="ignore"):
-        snr = snr_h_linear * mean_sq / np.where(d > 0.0, d**2, 0.0)
     sigma = crlb_sigma_d(
         waveform.bandwidth_hz, waveform.pulse_s, snr, waveform.sample_rate_hz
     )

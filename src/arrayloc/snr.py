@@ -42,6 +42,10 @@ class LinkSnrModel:
         if self.mean_sq_distance <= 0:
             raise ValueError("mean squared distance must be positive")
 
+    def at(self, sq_distance):
+        """Link SNR at a squared distance (m^2); scalar or elementwise."""
+        return self.snr_h * self.mean_sq_distance / sq_distance
+
 
 def model_from_edm(edm: Edm, snr_h: float) -> LinkSnrModel:
     """Anchor a link SNR model to a complete squared-distance matrix."""
@@ -57,16 +61,14 @@ def model_from_edm(edm: Edm, snr_h: float) -> LinkSnrModel:
 def link_snr(model: LinkSnrModel, distance: float) -> float:
     if distance <= 0:
         raise ValueError("link distance must be positive")
-    return model.snr_h * model.mean_sq_distance / distance**2
+    return model.at(distance**2)
 
 
 def link_snr_matrix(edm: Edm, snr_h: float) -> np.ndarray:
     """Per-link linear SNR for every pair; infinite on the diagonal."""
     model = model_from_edm(edm, snr_h)
     with np.errstate(divide="ignore"):
-        return model.snr_h * model.mean_sq_distance / np.where(
-            edm.entries > 0.0, edm.entries, 0.0
-        )
+        return model.at(np.where(edm.entries > 0.0, edm.entries, 0.0))
 
 
 def harmonic_mean_snr(values: np.ndarray) -> float:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,16 @@ REF_SNR_DB = 34.0
 # crlb_sigma_d at the reference point, evaluated by hand:
 # c0 / sqrt(2 * (pi * 40e6)^2 * 10e-6 * 10^3.4 * 200e6)
 REF_CRLB_SIGMA_M = 7.526288178176415e-4
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _src_on_subprocess_path():
+    # pyproject.toml's pytest `pythonpath` puts src/ on this process's import
+    # path only; CLI subprocesses that tests start find it via PYTHONPATH.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,11 +186,13 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         {"layout": 5},
         {"solver": [1]},
         {"seed": -1},
+        {"rise_fall_s": 5e-6},
+        {"pulse_s": -1},
     ],
     ids=[
         "solver-key", "layout-key", "float-trials", "float-population",
         "bool-workers", "nan-bandwidth", "nan-snr", "int-layout", "list-solver",
-        "negative-seed",
+        "negative-seed", "long-ramps", "negative-pulse",
     ],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):
@@ -232,6 +235,20 @@ def test_simulate_subcommand_smoke(capsys):
     values = _parse_kv(capsys.readouterr().out)
     assert float(values["final_evm_m"]) < 1e-9
     assert values["converged"] == "true"
+
+
+@pytest.mark.parametrize("extent", ["-1", "0"])
+def test_simulate_rejects_bad_extent(capsys, extent):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", f"--extent={extent}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "box extent" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not caught
 
 
 def test_snr_estimate_subcommand(tmp_path, capsys, wave40):

@@ -13,6 +13,7 @@ from arrayloc.geometry import (
     Edm,
     NodeLayout,
     connectivity_ratio,
+    edge_budget,
     edm_from_points,
     is_completable,
     mask_edm,
@@ -190,6 +191,17 @@ def test_mask_budget_below_minimum_rejected(rng):
         random_completable_mask(10, 0.4, rng)
     with pytest.raises(ValueError):
         random_completable_mask(6, 0.0, rng)
+
+
+def test_edge_budget_rounds_half_up_and_keeps_the_floor():
+    assert edge_budget(6, 0.8) == 12
+    assert edge_budget(6, 12.5 / 15) == 13  # half up, not half to even
+    assert edge_budget(6, 11.5 / 15) == 12
+    assert edge_budget(6, 1.0) == 15
+    assert edge_budget(10, 0.6) == 27
+    for n, c in ((10, 0.4), (6, 0.0), (6, -0.1), (6, 1.01), (3, 1.0)):
+        with pytest.raises(ValueError):
+            edge_budget(n, c)
 
 
 def test_complete_budget_gives_complete_graph(rng):

@@ -5,9 +5,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrayloc.evaluation import max_beamform_freq
-from arrayloc.geometry import write_layout_csv, NodeLayout
+from arrayloc.geometry import (
+    NodeLayout,
+    edge_budget,
+    max_edges,
+    min_edges,
+    random_completable_mask,
+    write_layout_csv,
+)
 from arrayloc.harness import (
     ExperimentConfig,
     LayoutSpec,
@@ -92,6 +101,34 @@ def test_config_rejects_bad_values():
         ExperimentConfig(seed=False)
     with pytest.raises(ValueError):
         ExperimentConfig(pulse_s=float("inf"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 40), st.data())
+def test_config_accepts_exactly_the_feasible_masks(n, data):
+    # The config and the mask builder share one edge-budget rule: a
+    # connectivity passes validation exactly when a mask can be built, and
+    # that mask holds edge_budget(n, c) links.  Half-way points such as
+    # 12.5 / 15 are where round-half-up and round-half-even part ways; next
+    # to the 3n - 6 floor they decide acceptance.
+    links = max_edges(n)
+    fewest = min_edges(n)
+    c = data.draw(
+        st.one_of(
+            st.integers(fewest - 3, fewest + 2).map(lambda k: (k + 0.5) / links),
+            st.integers(0, links).map(lambda k: (k + 0.5) / links),
+            st.integers(0, links).map(lambda k: k / links),
+            st.floats(-0.5, 1.5, allow_nan=False),
+        )
+    )
+    try:
+        ExperimentConfig(array_sizes=[n], connectivities=[c], trials=1)
+    except ValueError:
+        with pytest.raises(ValueError):
+            random_completable_mask(n, c, np.random.default_rng(n))
+    else:
+        mask = random_completable_mask(n, c, np.random.default_rng(n))
+        assert mask.edge_count == edge_budget(n, c)
 
 
 def test_signal_level_guard_rails():

@@ -22,7 +22,7 @@ from arrayloc.ranging import (
     two_way_tof,
     write_waveform_csv,
 )
-from arrayloc.snr import db_to_linear
+from arrayloc.snr import db_to_linear, link_snr_matrix
 
 from conftest import (
     REF_BANDWIDTH_HZ,
@@ -425,6 +425,32 @@ def test_statistical_per_link_sigma(wave40):
         draws[k] = math.sqrt(sampled.entries[0, 3]) - 4.0
     assert np.std(draws, ddof=1) == pytest.approx(expected_sigma, rel=0.03)
     assert abs(np.mean(draws)) < 3.0 * expected_sigma / math.sqrt(draws.size)
+
+
+def test_statistical_draws_follow_the_link_snr_model(wave40):
+    # on a complete mask every squared range is (d + sigma * z)^2, bit for
+    # bit, with sigma at the SNR link_snr_matrix gives that link.  sigma is
+    # proportional to d; at -16 dB it is about d / 4, large enough that a
+    # last-bit change in the SNR reaches the sum, and no draw goes negative.
+    snr_h = db_to_linear(-16.0)
+    for seed in range(20):
+        n = 6 + seed % 10
+        layout = NodeLayout(np.random.default_rng(seed).uniform(0, 5, size=(2, n)))
+        full = edm_from_points(layout)
+        iu = np.triu_indices(n, 1)
+        sigma = crlb_sigma_d(
+            wave40.bandwidth_hz,
+            wave40.pulse_s,
+            link_snr_matrix(full, snr_h)[iu],
+            wave40.sample_rate_hz,
+        )
+        z = np.random.default_rng(100 + seed).standard_normal(iu[0].size)
+        expected = (np.sqrt(full.entries[iu]) + sigma * z) ** 2
+        sampled = sample_edm_statistical(
+            layout, AdjacencyMask.complete(n), snr_h, wave40,
+            np.random.default_rng(100 + seed),
+        )
+        assert np.array_equal(sampled.entries[iu], expected)
 
 
 def test_statistical_respects_mask(wave40, rng):
