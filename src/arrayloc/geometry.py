@@ -119,7 +119,8 @@ class Edm:
             raise ValueError("distance matrix must be square")
         if self.observed is not None and self.observed.count != entries.shape[0]:
             raise ValueError("mask size does not match matrix size")
-        obs = self.observed_bool(entries.shape[0])
+        full = ~np.eye(len(entries), dtype=bool)
+        obs = full if self.observed is None else self.observed.mask
         vals = entries[obs]
         if vals.size and not np.all(np.isfinite(vals)):
             raise ValueError("observed entries must be finite")
@@ -132,13 +133,6 @@ class Edm:
         if vals.size and np.any(vals < 0.0):
             raise ValueError("observed squared distances must be non-negative")
         self.entries = entries
-
-    def observed_bool(self, n: int | None = None) -> np.ndarray:
-        if n is None:
-            n = self.entries.shape[0]
-        if self.observed is None:
-            return ~np.eye(n, dtype=bool)
-        return self.observed.mask
 
     @property
     def count(self) -> int:
@@ -195,42 +189,45 @@ def connectivity_ratio(mask: AdjacencyMask) -> float:
     return mask.edge_count / max_edges(mask.count)
 
 
-def _closure_resolves_all(adj: np.ndarray, seed: tuple[int, ...], m: int) -> bool:
-    # Monotone closure: once a node has >= m+1 resolved neighbours it can be
-    # multilaterated, so batch-adding candidates per round changes nothing.
-    n = adj.shape[0]
-    resolved = np.zeros(n, dtype=bool)
-    resolved[list(seed)] = True
-    while not resolved.all():
-        counts = adj[:, resolved].sum(axis=1)
-        candidates = ~resolved & (counts >= m + 1)
-        if not candidates.any():
-            return False
-        resolved |= candidates
-    return True
+def _closure(adj: np.ndarray, seed: list[int], m: int) -> np.ndarray:
+    # Nodes resolved from ``seed``.  The closure is monotone and idempotent,
+    # so adding every node with >= m+1 resolved links per round is exact.
+    resolved = np.zeros(adj.shape[0], dtype=bool)
+    resolved[seed] = True
+    while (grow := ~resolved & (adj[:, resolved].sum(axis=1) >= m + 1)).any():
+        resolved |= grow
+    return resolved
 
 
 def is_completable(mask: AdjacencyMask, m: int = 2) -> bool:
     """Whether some fully connected (m+2)-node seed can resolve every node.
 
     Starting from a complete quadrilateral, a node is resolvable once it has
-    at least m+1 links into the already-resolved set; the check greedily
-    grows that set and tries every candidate seed.
+    at least m+1 links into the already-resolved set, so a node with fewer
+    links never is.  The search walks the 4-cliques a < b < c < d and skips
+    every seed inside the closure of a seed that failed: its closure lies
+    inside that one, so it fails too (Eren et al., INFOCOM 2004).
     """
     if m != 2:
         raise ValueError("only the planar case (m == 2) is supported")
-    n = mask.count
-    if n < 4:
+    if mask.count < 4:
         raise ValueError("completability requires at least 4 nodes")
     adj = mask.mask
-    degrees = adj.sum(axis=1)
-    eligible = np.flatnonzero(degrees >= 3)
-    for seed in combinations(eligible.tolist(), 4):
-        block = adj[np.ix_(seed, seed)]
-        if not np.all(block | np.eye(4, dtype=bool)):
-            continue
-        if _closure_resolves_all(adj, seed, m):
-            return True
+    if adj.sum(axis=1).min() < m + 1:
+        return False
+    later = np.triu(adj, 1)  # later[i]: the neighbours of i above i
+    failed = np.zeros((0, mask.count), dtype=bool)  # one closure per row
+    for a, b in zip(*np.nonzero(later)):
+        ab = later[a] & later[b]
+        for c in np.flatnonzero(ab):
+            for d in np.flatnonzero(ab & later[c]):
+                seed = [a, b, c, d]
+                if failed[:, seed].all(axis=1).any():
+                    continue
+                resolved = _closure(adj, seed, m)
+                if resolved.all():
+                    return True
+                failed = np.vstack((failed, resolved))
     return False
 
 

@@ -75,18 +75,21 @@ class LayoutSpec:
                 raise ValueError("circle radius must be positive")
             if not 0.0 <= self.radial_jitter < 1.0:
                 raise ValueError("radial jitter must lie in [0, 1)")
-        if self.kind == "file" and not self.path:
-            raise ValueError("file layout needs a path")
+        if self.kind == "file":
+            if not self.path:
+                raise ValueError("file layout needs a path")
+            self.file_layout = read_layout_csv(self.path)  # not a field: never echoed
 
 
 def draw_layout(spec: LayoutSpec, n: int, rng: np.random.Generator) -> NodeLayout:
     if spec.kind == "random_box":
         return NodeLayout(rng.uniform(0.0, spec.extent_m, size=(2, n)))
     if spec.kind == "file":
-        layout = read_layout_csv(spec.path)
-        if layout.count != n:
+        layout = spec.file_layout
+        if (layout.dim, layout.count) != (2, n):
             raise ValueError(
-                f"layout file holds {layout.count} nodes, config expects {n}"
+                f"layout file holds {layout.count} nodes in {layout.dim} "
+                f"dimensions, config expects {n} in 2"
             )
         return layout
     # circle: evenly spaced angles, jittered radius, minimum spacing enforced
@@ -158,21 +161,21 @@ class ExperimentConfig:
             require_int("array size", n)
             for c in self.connectivities:
                 edge_budget(n, c)
+            if self.layout.kind == "file":  # the file's shape, before any trial
+                draw_layout(self.layout, n, rng=None)
         for b in self.bandwidths_hz:
             check_waveform(b, self.pulse_s, self.sample_rate_hz, self.rise_fall_s)
             if not self.noiseless and b == 0:
                 raise ValueError("noisy ranging needs a nonzero tone separation")
         if self.ranging_mode == "signal_level" and not self.allow_large_signal_level:
-            if max(self.array_sizes) > SIGNAL_LEVEL_MAX_NODES:
-                raise ValueError(
-                    "signal-level mode is limited to "
-                    f"{SIGNAL_LEVEL_MAX_NODES} nodes by default"
-                )
-            if self.trials > SIGNAL_LEVEL_MAX_TRIALS:
-                raise ValueError(
-                    "signal-level mode is limited to "
-                    f"{SIGNAL_LEVEL_MAX_TRIALS} trials by default"
-                )
+            for what, value, cap in (
+                ("nodes", max(self.array_sizes), SIGNAL_LEVEL_MAX_NODES),
+                ("trials", self.trials, SIGNAL_LEVEL_MAX_TRIALS),
+            ):
+                if value > cap:
+                    raise ValueError(
+                        f"signal-level mode is limited to {cap} {what} by default"
+                    )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -15,6 +15,7 @@ from arrayloc.geometry import (
     random_completable_mask,
     read_layout_csv,
     write_edm_csv,
+    write_layout_csv,
     write_mask_csv,
 )
 from arrayloc.harness import load_config
@@ -199,6 +200,34 @@ def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"trials": 1, **overrides}))
     with pytest.raises(ValueError):  # before any trial starts
+        load_config(cfg_path)
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "shape, overrides",
+    [
+        ((2, 5), {}),
+        ((2, 6), {"array_sizes": [6, 8]}),
+        ((3, 6), {}),
+        (None, {}),
+    ],
+    ids=["5-nodes-for-6", "one-size-of-two", "three-dimensions", "missing-file"],
+)
+def test_sweep_rejects_bad_layout_file(tmp_path, capsys, shape, overrides):
+    layout_path = tmp_path / "lay.csv"
+    if shape is not None:
+        coords = np.random.default_rng(5).uniform(0.0, 3.0, size=shape)
+        write_layout_csv(layout_path, NodeLayout(coords))
+    layout = {"kind": "file", "path": str(layout_path)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 3, "layout": layout, **overrides}))
+    with pytest.raises((ValueError, OSError)):  # before any trial starts
         load_config(cfg_path)
     code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err

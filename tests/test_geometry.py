@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -175,15 +176,117 @@ def test_completability_is_invariant_to_node_relabelling(seed, n, kind):
     else:
         mask = random_completable_mask(n, rng.uniform(min_connectivity(n), 1.0), rng)
     if kind == "cut":  # a node left with two links can never be resolved
-        adj = mask.mask.copy()
-        extra = np.flatnonzero(adj[0])[2:]
-        adj[0, extra] = adj[extra, 0] = False
-        mask = AdjacencyMask(adj)
+        mask = _cut_to_two_links(mask, 0)
     answer = is_completable(mask)
     if kind != "random":
         assert answer == (kind == "completable")
     perm = rng.permutation(n)
     assert is_completable(AdjacencyMask(mask.mask[np.ix_(perm, perm)])) == answer
+
+
+def _exhaustive_is_completable(mask: AdjacencyMask) -> bool:
+    """Oracle: the unpruned search, every 4-subset of the nodes of degree >= 3."""
+    adj = mask.mask
+    eligible = np.flatnonzero(adj.sum(axis=1) >= 3)
+    for seed in combinations(eligible.tolist(), 4):
+        if not np.all(adj[np.ix_(seed, seed)] | np.eye(4, dtype=bool)):
+            continue
+        resolved = np.zeros(len(adj), dtype=bool)
+        resolved[list(seed)] = True
+        while not resolved.all():
+            candidates = ~resolved & (adj[:, resolved].sum(axis=1) >= 3)
+            if not candidates.any():
+                break
+            resolved |= candidates
+        if resolved.all():
+            return True
+    return False
+
+
+def _joined_halves(n: int, rng: np.random.Generator) -> AdjacencyMask:
+    """Two completable halves joined by two links: degrees >= 3, not completable."""
+    h = n // 2
+    adj = np.zeros((n, n), dtype=bool)
+    for lo, hi in ((0, h), (h, n)):
+        size = hi - lo
+        c = rng.uniform(min_connectivity(size), 1.0)
+        adj[lo:hi, lo:hi] = random_completable_mask(size, c, rng).mask
+    ends_a = rng.choice(h, size=2, replace=False)
+    ends_b = h + rng.choice(n - h, size=2, replace=False)
+    adj[ends_a, ends_b] = adj[ends_b, ends_a] = True
+    perm = rng.permutation(n)
+    return AdjacencyMask(adj[np.ix_(perm, perm)])
+
+
+def _cut_to_two_links(mask: AdjacencyMask, node: int) -> AdjacencyMask:
+    adj = mask.mask.copy()
+    extra = np.flatnonzero(adj[node])[2:]
+    adj[node, extra] = adj[extra, node] = False
+    return AdjacencyMask(adj)
+
+
+def _random_graph(n: int, edges: int, rng: np.random.Generator) -> AdjacencyMask:
+    rows, cols = np.triu_indices(n, 1)
+    pick = rng.choice(rows.size, size=min(edges, rows.size), replace=False)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows[pick], cols[pick]] = adj[cols[pick], rows[pick]] = True
+    return AdjacencyMask(adj)
+
+
+def _decoy_mask() -> AdjacencyMask:
+    """Completable, but the first seed {0, 1, 2, 3} stalls at itself.
+
+    Every other 4-clique holds node 3, so a search that dropped any seed
+    touching a failed closure, not only seeds inside one, would answer False.
+    """
+    links = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]  # the decoy seed
+    links += [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]  # a seed that works
+    links += [(7, 3), (7, 4), (7, 5), (8, 3), (8, 5), (8, 6), (9, 3), (9, 4), (9, 6)]
+    links += [(0, 4), (0, 5), (1, 6), (1, 7), (2, 8), (2, 9)]  # 2 links per decoy node
+    adj = np.zeros((10, 10), dtype=bool)
+    for i, j in links:
+        adj[i, j] = adj[j, i] = True
+    return AdjacencyMask(adj)
+
+
+def test_seed_leaving_a_failed_closure_is_still_tried():
+    assert _exhaustive_is_completable(_decoy_mask())
+    assert is_completable(_decoy_mask())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 14),
+    st.sampled_from(["random", "sparse", "floor", "cut", "halves", "decoy"]),
+)
+def test_pruned_search_matches_exhaustive_search(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        mask = _random_graph(n, int(rng.integers(0, max_edges(n) + 1)), rng)
+    elif kind == "sparse":  # random links, a few either side of the 3N-6 floor
+        mask = _random_graph(n, min_edges(n) + int(rng.integers(-2, 4)), rng)
+    elif kind == "floor":  # completable with no link to spare
+        mask = random_completable_mask(n, min_connectivity(n), rng)
+    elif kind == "cut":
+        mask = random_completable_mask(n, rng.uniform(min_connectivity(n), 1.0), rng)
+        mask = _cut_to_two_links(mask, int(rng.integers(n)))
+    elif kind == "halves":
+        mask = _joined_halves(max(n, 8), rng)
+    else:
+        perm = rng.permutation(10)
+        mask = AdjacencyMask(_decoy_mask().mask[np.ix_(perm, perm)])
+    assert is_completable(mask) == _exhaustive_is_completable(mask)
+
+
+def test_completability_at_25_and_40_nodes(rng):
+    for n in (25, 40):
+        assert is_completable(random_completable_mask(n, 0.3, rng))
+        # every degree is at least 3, so only the seed search can say no
+        halves = _joined_halves(n, rng)
+        assert halves.mask.sum(axis=1).min() >= 3
+        assert not is_completable(halves)
+    assert not is_completable(_cut_to_two_links(AdjacencyMask.complete(40), 7))
 
 
 def test_mask_budget_below_minimum_rejected(rng):

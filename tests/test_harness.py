@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -15,8 +16,10 @@ from arrayloc.geometry import (
     max_edges,
     min_edges,
     random_completable_mask,
+    read_layout_csv,
     write_layout_csv,
 )
+from arrayloc import harness
 from arrayloc.harness import (
     ExperimentConfig,
     LayoutSpec,
@@ -220,6 +223,31 @@ def test_draw_layout_from_file(tmp_path, rng):
     assert np.array_equal(layout.coords, coords)
     with pytest.raises(ValueError):
         draw_layout(spec, 7, rng)
+
+
+def test_file_layout_is_read_once_per_sweep(tmp_path, monkeypatch):
+    coords = np.random.default_rng(2).uniform(0, 3, size=(2, 6))
+    path = tmp_path / "layout.csv"
+    write_layout_csv(path, NodeLayout(coords))
+    reads = []
+
+    def counting_read(p):
+        reads.append(p)
+        return read_layout_csv(p)
+
+    monkeypatch.setattr(harness, "read_layout_csv", counting_read)
+    cfg_path = tmp_path / "cfg.json"
+    layout = {"kind": "file", "path": str(path)}
+    raw = {"trials": 3, "layout": layout, "noiseless": True, "connectivities": [1.0]}
+    cfg_path.write_text(json.dumps(raw))
+    cfg = load_config(cfg_path)
+    records = run_experiment(cfg)
+    assert len(records) == 3 and len(reads) == 1
+    assert all(r.final_evm_m < 1e-9 for r in records)
+    # the loaded layout is not a config field, so the config echo is unchanged
+    paths = write_outputs(cfg, records, tmp_path / "out")
+    echoed = json.loads(paths["summary_json"].read_text())["config"]["layout"]
+    assert echoed == dataclasses.asdict(LayoutSpec(kind="file", path=str(path)))
 
 
 def test_layout_spec_validation():
