@@ -251,12 +251,12 @@ def random_completable_mask(
         for k in rng.choice(len(placed), size=3, replace=False):
             adj[node, placed[k]] = adj[placed[k], node] = True
         placed.append(node)
-    free = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i, j]]
+    rows, cols = np.triu_indices(n, 1)
+    free = np.flatnonzero(~adj[rows, cols])
     extra = budget - min_edges(n)
     if extra:
-        for k in rng.choice(len(free), size=extra, replace=False):
-            i, j = free[k]
-            adj[i, j] = adj[j, i] = True
+        pick = free[rng.choice(len(free), size=extra, replace=False)]
+        adj[rows[pick], cols[pick]] = adj[cols[pick], rows[pick]] = True
     return AdjacencyMask(adj)
 
 

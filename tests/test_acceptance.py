@@ -18,6 +18,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from arrayloc.evaluation import align_and_evm
 from arrayloc.geometry import (
@@ -75,6 +76,7 @@ def test_criterion_01_noiseless_exact_recovery():
     assert ok, f"only {successes}/100 noiseless trials recovered exactly"
 
 
+@pytest.mark.slow
 def test_criterion_02_precision_at_reference_point():
     # 250-trial mean EVM at the reference point (6 nodes, 80% links,
     # 40 MHz separation, 34 dB harmonic-mean SNR) must not exceed 1.5 mm.
@@ -96,6 +98,7 @@ def test_criterion_02_precision_at_reference_point():
     assert ok, f"mean EVM {mean_evm} m exceeds 1.5 mm"
 
 
+@pytest.mark.slow
 def test_criterion_03_connectivity_insensitivity():
     # Sweeping connectivity 0.8 -> 1.0 at the reference point: the mean
     # EVM spread stays under 0.1 mm while the median generation count
@@ -124,6 +127,7 @@ def test_criterion_03_connectivity_insensitivity():
     assert gens_ok, f"median generations {gens} not non-increasing"
 
 
+@pytest.mark.slow
 def test_criterion_04_bandwidth_scaling():
     # Halving the tone separation should double the mean EVM: check the
     # 10/20/40 MHz ratios against 2, 2 and 4 within 15%.
@@ -261,6 +265,7 @@ def test_criterion_08_blind_snr_estimation(wave40):
     assert equiv_rel <= 1e-12, f"scale equivariance violated: {equiv_rel}"
 
 
+@pytest.mark.slow
 def test_criterion_09_size_and_connectivity_trends():
     # 3x3 sweep over array size and connectivity under noise, 40 trials
     # per point and a 100-generation cap: mean EVM must not improve with

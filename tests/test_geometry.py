@@ -155,6 +155,44 @@ def test_constructed_masks_are_completable(rng):
         assert is_completable(mask)
 
 
+def _listed_random_completable_mask(
+    n: int, c: float, rng: np.random.Generator
+) -> AdjacencyMask:
+    """Reference: the mask built with a Python list of the free pairs."""
+    budget = edge_budget(n, c)
+    adj = np.zeros((n, n), dtype=bool)
+    order = rng.permutation(n)
+    seed, rest = order[:4], order[4:]
+    for i, j in combinations(seed.tolist(), 2):
+        adj[i, j] = adj[j, i] = True
+    placed = list(seed)
+    for node in rest.tolist():
+        for k in rng.choice(len(placed), size=3, replace=False):
+            adj[node, placed[k]] = adj[placed[k], node] = True
+        placed.append(node)
+    free = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i, j]]
+    extra = budget - min_edges(n)
+    if extra:
+        for k in rng.choice(len(free), size=extra, replace=False):
+            i, j = free[k]
+            adj[i, j] = adj[j, i] = True
+    return AdjacencyMask(adj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 40),
+    st.floats(0.0, 1.0),
+)
+def test_random_mask_matches_the_listed_free_pairs(seed, n, share):
+    # Same draws, same links: the free pairs are indexed in the same order.
+    c = min_connectivity(n) + share * (1.0 - min_connectivity(n))
+    got = random_completable_mask(n, c, np.random.default_rng(seed))
+    want = _listed_random_completable_mask(n, c, np.random.default_rng(seed))
+    assert np.array_equal(got.mask, want.mask)
+
+
 def test_stripping_a_node_breaks_completability(rng):
     for _ in range(50):
         n = int(rng.integers(5, 12))

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrayloc import mds
 from arrayloc.evaluation import align_and_evm
 from arrayloc.geometry import AdjacencyMask, Edm, NodeLayout, edm_from_points, mask_edm
 from arrayloc.mds import batched_mds, classical_mds, gram_from_edm, leading_eigenpairs
@@ -64,6 +69,130 @@ def test_leading_eigenpairs_by_magnitude(rng):
     # eigenpairs actually decompose the matrix
     recon = vectors @ np.diag(values) @ vectors.T
     assert np.allclose(recon, a + a.T, atol=1e-10)
+
+
+def _centred_gram(points: np.ndarray) -> np.ndarray:
+    """Gram matrices of a (P, N, d) stack of layouts, centred."""
+    centred = points - points.mean(axis=1, keepdims=True)
+    return centred @ centred.transpose(0, 2, 1)
+
+
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+def _gram_stack(kind: str, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A (P, N, N) stack of symmetric test matrices of one kind."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "noisy_planar":  # near rank 2, like DE candidates near the end
+        noise = _symmetric(rng.standard_normal((p, n, n)))
+        g = _centred_gram(rng.uniform(0.0, 5.0, (p, n, 2)))
+        return scale * (g + 10.0 ** rng.uniform(-8.0, -2.0) * noise)
+    if kind == "uniform":
+        return scale * _symmetric(rng.uniform(-1.0, 1.0, (p, n, n)))
+    if kind == "polygon":  # lambda_1 == lambda_2, as on the circle layouts
+        k = 2.0 * np.pi * np.arange(n) / n + rng.uniform(0.0, 2.0 * np.pi, (p, 1))
+        return scale * _centred_gram(np.stack([np.cos(k), np.sin(k)], axis=-1))
+    if kind == "negative":  # a dominant negative eigenvalue, then a positive one
+        basis = rng.standard_normal((p, n, 2))
+        basis, _ = np.linalg.qr(basis - basis.mean(axis=1, keepdims=True))
+        lead = np.stack([-rng.uniform(1.0, 3.0, p), np.ones(p)], axis=1)
+        noise = _symmetric(rng.standard_normal((p, n, n)))
+        g = np.einsum("pik,pk,pjk->pij", basis, lead, basis)
+        return scale * (g + 10.0 ** rng.uniform(-8.0, -2.0) * noise)
+    if kind == "collinear":
+        t = rng.uniform(0.0, 5.0, (p, n, 1))
+        return scale * _centred_gram(t * rng.standard_normal((p, 1, 2)))
+    assert kind == "coincident"
+    return np.zeros((p, n, n))
+
+
+GRAM_KINDS = [
+    "noisy_planar", "uniform", "polygon", "negative", "collinear", "coincident"
+]
+
+
+def _weighted_projector(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    return np.einsum("pik,pk,pjk->pij", vectors, values, vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 16),
+    st.lists(st.sampled_from(GRAM_KINDS), min_size=1, max_size=4),
+)
+def test_planar_pairs_match_eigh(seed, n, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.concatenate([_gram_stack(kind, 5, n, rng) for kind in kinds])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors = leading_eigenpairs(stack, 2)
+    want_values, want_vectors = mds._eigh_pairs(stack, 2)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
+    mags = np.abs(values)
+    assert np.all(mags[:, 0] >= mags[:, 1])
+    assert np.allclose(
+        vectors.transpose(0, 2, 1) @ vectors, np.eye(2), rtol=0.0, atol=1e-12
+    )
+    tol = 1e-9 * np.abs(want_values[:, 0])
+    assert np.all(np.abs(values - want_values) <= tol[:, None])
+    gap = np.abs(
+        _weighted_projector(values, vectors)
+        - _weighted_projector(want_values, want_vectors)
+    )
+    assert np.all(gap.max(axis=(1, 2)) <= tol)
+
+
+def test_only_unproven_rows_reach_eigh(rng, monkeypatch):
+    seen = []
+    eigh_pairs = mds._eigh_pairs
+
+    def spy(matrices, m):
+        seen.append(matrices.shape[0])
+        return eigh_pairs(matrices, m)
+
+    monkeypatch.setattr(mds, "_eigh_pairs", spy)
+    near_rank_two = np.concatenate(
+        [
+            _gram_stack(kind, 20, 9, rng)
+            for kind in ("noisy_planar", "polygon", "negative")
+        ]
+    )
+    leading_eigenpairs(near_rank_two, 2)
+    assert seen == []  # every row proven
+    degenerate = np.concatenate(
+        [_gram_stack(kind, 3, 9, rng) for kind in ("collinear", "coincident")]
+    )
+    leading_eigenpairs(np.concatenate([near_rank_two, degenerate]), 2)
+    assert seen == [6]  # exactly the collinear and coincident rows
+    leading_eigenpairs(near_rank_two, 3)
+    assert seen == [6, 60]  # any other m is all eigh
+
+
+def _de_like_stack(n: int, rng: np.random.Generator) -> np.ndarray:
+    """300 children within 5% of a layout's distances, 100 uniform immigrants."""
+    full = edm_from_points(NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))).entries
+    rows, cols = np.triu_indices(n, 1)
+    missing = rng.choice(rows.size, size=rows.size // 4, replace=False)
+    r, c = rows[missing], cols[missing]
+    stack = np.repeat(full[None], 400, axis=0)
+    children = full[r, c] * rng.uniform(0.95, 1.05, (300, missing.size))
+    immigrants = rng.uniform(0.0, 2.0 * full.max(), (100, missing.size))
+    stack[:, r, c] = stack[:, c, r] = np.vstack([children, immigrants])
+    return stack
+
+
+@pytest.mark.parametrize("n", [6, 10, 15])
+def test_a_row_scores_alike_alone_and_in_any_batch(n, rng):
+    stack = _de_like_stack(n, rng)
+    values, coords = batched_mds(stack, 2)
+    for i in range(0, 400, 3):
+        lo = max(0, i - 3)
+        for batch, at in ((stack[i : i + 1], 0), (stack[lo : lo + 7], i - lo)):
+            v, x = batched_mds(batch, 2)
+            assert np.array_equal(v[at], values[i])
+            assert np.array_equal(x[at], coords[i])
 
 
 def test_classical_mds_is_the_single_matrix_case_of_the_batch(rng):
