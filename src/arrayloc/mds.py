@@ -8,12 +8,12 @@ single matrix and a (P, N, N) stack of them alike: the DE cost, the
 final embedding and the convergence replay all go through it.
 
 For the planar case (m = 2) the two pairs come from a short block
-subspace iteration with a Rayleigh-Ritz step (Golub & Van Loan, *Matrix
-Computations*, sec. 8.2; Saad, *Numerical Methods for Large Eigenvalue
-Problems*, ch. 5), and a row keeps that answer only when a residual and
-spectrum bound prove it; every other row, and every other m, goes
-through a full ``eigh``.  Each row's result depends on that row alone,
-never on the rest of the stack.
+subspace iteration on G^8 and a Rayleigh-Ritz step on G (Golub & Van Loan,
+*Matrix Computations*, sec. 8.2; Saad, *Numerical Methods for Large
+Eigenvalue Problems*, ch. 5), and a row keeps that answer only when its
+residual and a fourth-moment bound prove it; every other row, and every
+other m, goes through a full ``eigh``.  Each row's result depends on
+that row alone, never on the rest of the stack.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ def _eigh_pairs(matrices: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return values[rows, order], vectors[rows[:, :, None], cols, order[:, None, :]]
 
 
-# Steps of G.G per stage of the subspace iteration.  Rows still unproven
-# after the first stage run the second, unless they are far from converged.
-_STAGE_STEPS = (3, 3)
+# The power of G applied by each subspace step, per stage.  Rounding in G^8
+# hides lambda_2 below about 0.15 |lambda_1|; the closing G.G steps fix that.
+_STAGE_POWERS = ((8, 8), (8, 8, 2, 2))
 # A row is proven when its Ritz residual is at most _CERTIFY_TOL * |lambda_1|.
 _CERTIFY_TOL = 1e-10
 # Residual after a stage above which a row stops and goes to eigh: such
@@ -90,16 +90,16 @@ def _orthonormalise(z: np.ndarray) -> np.ndarray:
 
 
 def _ritz_pairs(
-    g: np.ndarray, x: np.ndarray, steps: int
+    g: np.ndarray, steps: list[np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``steps`` subspace steps of G.G on the rows of x, then Rayleigh-Ritz.
+    """A subspace step on x per power of G in ``steps``, then Rayleigh-Ritz.
 
     x holds two orthonormal rows per matrix, (P, 2, N).  Returns the new
     basis, the Ritz values (P, 2) leading |value| first, the Ritz vectors
     as rows (P, 2, N) and the squared residual ||G Y - Y diag(values)||_F^2.
     """
-    for _ in range(steps):
-        x = _orthonormalise(x @ g @ g)  # G is symmetric: x G = (G x^T)^T
+    for power in steps:
+        x = _orthonormalise(x @ power)  # power is symmetric: x P = (P x^T)^T
     w = x @ g
     x1, x2, w1, w2 = x[:, 0], x[:, 1], w[:, 0], w[:, 1]
     a, b, c = _dot(x1, w1), _dot(x1, w2), _dot(x2, w2)
@@ -129,41 +129,48 @@ def _ritz_pairs(
 def _planar_pairs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``leading_eigenpairs`` for m = 2 and N >= 3: proven rows, else eigh.
 
-    A row is proven when (a) its Ritz residual is at most _CERTIFY_TOL *
-    |lambda_1|, and (b) ||G||_F^2 - lambda_1^2 - lambda_2^2, the sum of
-    the other squared eigenvalues, is at most lambda_2^2 / 4.  Then every
-    other eigenvalue is at most half of |lambda_2|, so the pair found is
-    the leading one, well separated from the rest.
+    Steps on G^8 and G.G, powers of G / ||G||_F so that none overflows, find
+    the basis; the Ritz pairs theta_j and residual are those of G.  A row is
+    proven when (a) the residual is at most eps |theta_1|, eps = _CERTIFY_TOL,
+    and (b) 16 (t - q_1 - q_2 + 1e-9 q_1) <= q_2, where q_j = (theta_j /
+    ||G||_F)^4 and t = tr(G^4) / ||G||_F^4.  By (a) and Kahan's theorem
+    (Parlett, *The Symmetric Eigenvalue Problem*, 11.5) G has eigenvalues
+    lambda_a, lambda_b whose fourth powers lie within 4.1e-10 theta_1^4 of
+    theta_1^4, theta_2^4.  For exact t, (b) then gives 16 sum(other
+    lambda_i^4) <= lambda_b^4 - 2.4e-9 theta_1^4, a margin above t's
+    rounding, (N^2 + 2N + 4) u (2 + sqrt(N) / 4)^2 theta_1^4 when (b) holds
+    and N <= 200.  So each other |lambda_i| is below |lambda_b| / 2.  The
+    former test sum(lambda_i^2) <= lambda_2^2 / 4 implies (b).
     """
     p, n, _ = g.shape
-    values = np.empty((p, 2))
+    values = np.full((p, 2), np.nan)  # NaN until proven
     vectors = np.empty((p, n, 2))
-    proven = np.zeros(p, dtype=bool)
     k = 2.0 * np.pi * np.arange(n) / n
     start = np.sqrt(2.0 / n) * np.stack([np.cos(k), np.sin(k)])  # orthonormal, centred
     # Degenerate rows (collinear or coincident nodes) divide by zero; they
     # end up NaN, unproven and in eigh.
     with np.errstate(all="ignore"):
-        rows = np.arange(p)
-        x = np.broadcast_to(start, (p, 2, n))
-        sub = g
-        sq_norm = np.einsum("pij,pij->p", g, g)
-        for steps in _STAGE_STEPS:
-            x, lead, y, residual = _ritz_pairs(sub, x, steps)
+        rows, x, sub = np.arange(p), np.broadcast_to(start, (p, 2, n)), g
+        norm = np.sqrt(np.einsum("pij,pij->p", g, g))
+        unit = g / norm[:, None, None]  # its powers have norms in [N^-4, 1]
+        square = unit @ unit
+        fourth = np.einsum("pij,pij->p", square, square)
+        quad = square @ square
+        powers = {2: square, 8: quad @ quad}
+        for stage in _STAGE_POWERS:
+            x, lead, y, residual = _ritz_pairs(sub, [powers[e] for e in stage], x)
             scale = lead[:, 0] ** 2
-            rest = sq_norm[rows] - scale - lead[:, 1] ** 2
             converged = residual <= _CERTIFY_TOL**2 * scale
-            # 1e-9 * lambda_1^2 covers the Ritz values' error, at most the
-            # residual, and the rounding of ||G||_F^2.
-            ok = converged & (4.0 * (rest + 1e-9 * scale) <= lead[:, 1] ** 2)
-            values[rows[ok]] = lead[ok]
-            vectors[rows[ok]] = y[ok].transpose(0, 2, 1)
-            proven[rows[ok]] = True
+            q = (lead / norm[rows, None]) ** 4
+            rest = fourth[rows] - q[:, 0] - q[:, 1]
+            ok = converged & (16.0 * (rest + 1e-9 * q[:, 0]) <= q[:, 1])
+            values[rows[ok]], vectors[rows[ok]] = lead[ok], y[ok].transpose(0, 2, 1)
             more = ~converged & (residual <= _GIVE_UP_TOL**2 * scale)
             if not more.any():
                 break
             rows, x, sub = rows[more], x[more], sub[more]
-    unproven = np.flatnonzero(~proven)
+            powers = {e: a[more] for e, a in powers.items()}
+    unproven = np.flatnonzero(np.isnan(values[:, 0]))
     if unproven.size:
         values[unproven], vectors[unproven] = _eigh_pairs(g[unproven], 2)
     return values, vectors
