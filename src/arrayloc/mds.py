@@ -4,8 +4,9 @@ Recovers a centered point set from a complete squared-distance matrix:
 double-center to a Gram matrix, find the m leading eigenpairs by
 magnitude, and scale the eigenvectors.  Negative leading eigenvalues
 (non-Euclidean inputs) are clipped to zero.  One batched core serves a
-single matrix and a (P, N, N) stack of them alike: the DE cost, the
-final embedding and the convergence replay all go through it.
+single matrix and a (P, N, N) stack of them alike: the final embedding
+and the convergence replay go through ``batched_mds``, and the DE cost,
+which builds its Gram matrices itself, through ``embed_gram``.
 
 For the planar case (m = 2) the two pairs come from a short block
 subspace iteration on G^8 and a Rayleigh-Ritz step on G (Golub & Van Loan,
@@ -193,15 +194,24 @@ def leading_eigenpairs(
     return _eigh_pairs(matrices, m)
 
 
+def embed_gram(gram: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-dimensional embedding of each matrix of a (P, N, N) Gram stack.
+
+    The stack must be exactly symmetric.  Returns the m leading eigenvalues
+    (P, m), unclipped, and the coordinates (P, N, m); a negative eigenvalue
+    gives a zero coordinate.
+    """
+    values, vectors = leading_eigenpairs(gram, m)
+    return values, np.sqrt(np.clip(values, 0.0, None))[:, None, :] * vectors
+
+
 def batched_mds(stack: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Classical MDS of a (P, N, N) stack of complete squared-distance matrices.
 
-    Returns the m leading Gram eigenvalues (P, m), unclipped, and the
-    coordinates (P, N, m); a negative eigenvalue gives a zero coordinate.
+    Double-centres each matrix and returns ``embed_gram`` of the result.
     """
     n = stack.shape[-1]
-    values, vectors = leading_eigenpairs(_double_centre(stack, np.full(n, 1.0 / n)), m)
-    return values, np.sqrt(np.clip(values, 0.0, None))[:, None, :] * vectors
+    return embed_gram(_double_centre(stack, np.full(n, 1.0 / n)), m)
 
 
 def gram_from_edm(edm: Edm, s: np.ndarray | None = None) -> np.ndarray:

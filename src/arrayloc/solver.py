@@ -1,10 +1,16 @@
 """Distance-matrix completion by differential evolution.
 
 The unknowns are the missing squared distances.  Each candidate completion
-is embedded with classical MDS and scored by how well the induced distance
-matrix reproduces the observed entries:
+p is embedded with classical MDS, x = mds(complete(D_obs, p)), and scored
+on the measured pairs by
 
-    F(p) = 1/2 * || W o (D_obs - edm(mds(complete(D_obs, p)))) ||_F^2
+    F(p) = sum over measured i < j of (dbar_ij - ||x_i - x_j||^2)^2,
+
+with dbar_ij = (d_ij + d_ji) / 2; for a symmetric D_obs that is
+1/2 ||W o (D_obs - edm(x))||_F^2.  Double-centring is linear in D, so the
+Gram matrix of a completion is G(p) = G_0 + sum_k p_k B_k: G_0 centres
+D_obs with zeros in the missing pairs, B_k centres the unit matrix of
+missing pair k, and both are computed once per trial.
 
 DE/rand/1/bin evolves a population of candidates; the best-ranked parents
 breed several offspring each, survivors are chosen by rank from parents and
@@ -22,7 +28,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .geometry import AdjacencyMask, CompletabilityError, Edm, NodeLayout, \
     is_completable
-from .mds import _smallest_columns, batched_mds, classical_mds
+from .mds import _double_centre, _smallest_columns, classical_mds, embed_gram
 
 # Offspring bred per surviving parent each generation.  A wide brood with
 # rank survival keeps the best cost falling almost every generation, which
@@ -79,22 +85,56 @@ class SolverRun:
     recovered_layout: NodeLayout
 
 
-def _batched_costs(
-    vectors: np.ndarray,
-    entries: np.ndarray,
-    weights: np.ndarray,
-    mask: AdjacencyMask,
-    m: int,
-) -> np.ndarray:
-    _, coords = batched_mds(mask.filled(entries, vectors), m)
-    sq_norms = np.sum(coords**2, axis=2)
-    recon = (
-        sq_norms[:, :, None]
-        + sq_norms[:, None, :]
-        - 2.0 * coords @ coords.transpose(0, 2, 1)
+@dataclass(frozen=True)
+class _CostTerms:
+    """The parts of the cost that depend on the trial only, not on a candidate."""
+
+    basis: np.ndarray  # (1 + n_missing, N, N): G_0, then B_k per missing pair
+    rows: np.ndarray  # measured pairs i < j
+    cols: np.ndarray
+    target: np.ndarray  # (d_ij + d_ji) / 2 at those pairs
+
+
+def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
+    n, n_missing = mask.count, mask.missing_indices()[0].size
+    # Edm accepts any value, NaN included, where the mask has no link; G_0
+    # takes zeros there, and the residual reads measured pairs only.
+    stack = np.concatenate([
+        mask.filled(observed.entries, 0.0)[None],
+        mask.filled(np.zeros((n, n)), np.eye(n_missing)),
+    ])
+    i, j = np.nonzero(np.triu(mask.mask, 1))
+    return _CostTerms(
+        basis=_double_centre(stack, np.full(n, 1.0 / n)),
+        rows=i,
+        cols=j,
+        target=0.5 * (observed.entries[i, j] + observed.entries[j, i]),
     )
-    residual = (entries - recon) * weights
-    return 0.5 * np.sum(residual**2, axis=(1, 2))
+
+
+def _grams(vectors: np.ndarray, terms: _CostTerms) -> np.ndarray:
+    """G_0 + sum_k p_k B_k for each candidate row p of ``vectors``."""
+    p = vectors.shape[0]
+    k, n, _ = terms.basis.shape
+    coeffs = np.empty((p, 1, k))
+    coeffs[:, 0, 0] = 1.0
+    coeffs[:, 0, 1:] = vectors
+    # One (1, K) @ (K, N^2) product per row keeps each row's sums in one
+    # order whatever the batch size, which a single gemm over the batch
+    # does not.  Every basis matrix is exactly symmetric, so entries (i, j)
+    # and (j, i) of G are sums of the same numbers, and G comes out exactly
+    # symmetric, as the G^8 steps and eigh's one-triangle read require.
+    return (coeffs @ terms.basis.reshape(k, n * n)).reshape(p, n, n)
+
+
+def _batched_costs(vectors: np.ndarray, terms: _CostTerms, m: int) -> np.ndarray:
+    _, coords = embed_gram(_grams(vectors, terms), m)
+    # np.take gathers into C order, (P, m, L); coords[:, rows] would not,
+    # and a row's sum over a strided gather depends on the batch size.
+    axes = coords.transpose(0, 2, 1)
+    gap = np.take(axes, terms.rows, axis=2) - np.take(axes, terms.cols, axis=2)
+    residual = terms.target - np.sum(gap * gap, axis=1)
+    return np.sum(residual * residual, axis=1)
 
 
 def evaluate_cost(
@@ -109,11 +149,7 @@ def evaluate_cost(
         raise ValueError(
             f"candidate has {vector.shape[1]} entries, mask misses {n_missing}"
         )
-    # Edm accepts any value, NaN included, where the mask has no link; the
-    # cost weights those entries by 0, and 0 * NaN would still be NaN.
-    entries = mask.filled(observed.entries, 0.0)
-    weights = mask.mask.astype(float)
-    return float(_batched_costs(vector, entries, weights, mask, m)[0])
+    return float(_batched_costs(vector, _cost_terms(observed, mask), m)[0])
 
 
 def _geodesic_upper_bounds(
@@ -166,8 +202,7 @@ def complete_and_localize(
             "observation mask cannot anchor every node in the array"
         )
     pair_idx = mask.missing_indices()
-    entries = mask.filled(observed.entries, 0.0)  # no NaN where unobserved
-    weights = mask.mask.astype(float)
+    terms = _cost_terms(observed, mask)
     n_vars = pair_idx[0].size
 
     lower = np.zeros(n_vars)
@@ -176,7 +211,7 @@ def complete_and_localize(
     pop_size = config.population_size
     n_parents = min(pop_size, max(4, round(config.parent_fraction * pop_size)))
     population = lower + (upper - lower) * rng.random((pop_size, n_vars))
-    costs = _batched_costs(population, entries, weights, mask, m)
+    costs = _batched_costs(population, terms, m)
 
     best_idx = int(np.argmin(costs))
     best_cost = float(costs[best_idx])
@@ -214,9 +249,7 @@ def complete_and_localize(
         immigrants = lower + (upper - lower) * rng.random(
             (pop_size - n_parents, n_vars)
         )
-        scored = _batched_costs(
-            np.vstack([children, immigrants]), entries, weights, mask, m
-        )
+        scored = _batched_costs(np.vstack([children, immigrants]), terms, m)
         child_costs, immigrant_costs = scored[:n_kids], scored[n_kids:]
         # Rank selection over parents and children together.  The incumbent
         # best is a parent, so it survives unless a child beats it.
@@ -243,7 +276,7 @@ def complete_and_localize(
             if mean_drop <= config.convergence_delta * max(ref, 1e-300):
                 converged = True
 
-    layout = classical_mds(Edm(mask.filled(entries, best_vector)), m)
+    layout = classical_mds(Edm(mask.filled(observed.entries, best_vector)), m)
     return SolverRun(
         best_cost_history=np.array(cost_history),
         best_vector_history=np.array(vector_history),

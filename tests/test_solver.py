@@ -14,12 +14,19 @@ from arrayloc.geometry import (
     NodeLayout,
     edm_from_points,
     mask_edm,
+    min_connectivity,
     random_completable_mask,
 )
+from arrayloc import mds
+from arrayloc.mds import _double_centre, batched_mds
 from arrayloc.ranging import sample_edm_statistical, synth_two_tone
 from arrayloc.snr import db_to_linear
 from arrayloc.solver import (
     SolverConfig,
+    _batched_costs,
+    _cost_terms,
+    _geodesic_upper_bounds,
+    _grams,
     _smallest_columns,
     complete_and_localize,
     evaluate_cost,
@@ -122,6 +129,108 @@ def test_complete_mask_cost_is_the_batched_cost(wave40):
         cost = evaluate_cost(np.zeros(0), observed, mask, 2)
         assert cost > 0.0
         assert cost == run.best_cost_history[-1]
+
+
+# ---------------------------------------------------------------------------
+# the cost against the formula it replaces, and its batch independence
+# ---------------------------------------------------------------------------
+
+
+def _reference_costs(vectors, observed, mask, m):
+    """F(p) = 1/2 ||W o (D_obs - edm(mds(complete(D_obs, p))))||_F^2, computed
+    as written: fill each candidate in, run MDS on the complete matrix, and
+    weight the full N x N residual by the mask."""
+    entries = mask.filled(observed.entries, 0.0)
+    weights = mask.mask.astype(float)
+    _, coords = batched_mds(mask.filled(entries, vectors), m)
+    sq_norms = np.sum(coords**2, axis=2)
+    recon = (
+        sq_norms[:, :, None]
+        + sq_norms[:, None, :]
+        - 2.0 * coords @ coords.transpose(0, 2, 1)
+    )
+    residual = (entries - recon) * weights
+    return 0.5 * np.sum(residual**2, axis=(1, 2))
+
+
+def _noisy_problem(rng, n, c, rows=400):
+    """Noisy masked EDM and ``rows`` candidates drawn as the solver draws
+    them: three quarters within 5% of the true missing distances, the rest
+    uniform up to the geodesic bound."""
+    full = edm_from_points(NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))).entries
+    mask = random_completable_mask(n, c, rng)
+    noise = np.triu(rng.normal(0.0, 0.05, size=(n, n)), 1)
+    observed = Edm(
+        np.where(mask.mask, np.clip(full + noise + noise.T, 0.0, None), 0.0),
+        observed=mask,
+    )
+    pairs = mask.missing_indices()
+    upper = _geodesic_upper_bounds(observed, mask, pairs)
+    kids = 3 * rows // 4
+    children = full[pairs] * rng.uniform(0.95, 1.05, (kids, upper.size))
+    immigrants = upper * rng.random((rows - kids, upper.size))
+    return observed, mask, np.vstack([children, immigrants])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 16),
+    st.sampled_from(["random", "floor", "complete", "asymmetric"]),
+)
+def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    low = min_connectivity(n)
+    c = {"floor": low, "complete": 1.0}.get(kind, rng.uniform(low, 1.0))
+    observed, mask, vectors = _noisy_problem(rng, n, c, rows=8)
+    if kind == "asymmetric":
+        # Edm lets the two triangles of a measured pair differ by 1e-9 of
+        # its largest entry; the cost scores their mean.
+        tol = 1e-9 * max(float(observed.entries.max()), 1.0)
+        skew = np.triu(rng.uniform(0.0, 0.9, size=(n, n)), 1) * tol
+        observed = Edm(observed.entries + skew * mask.mask, observed=mask)
+        assert not np.array_equal(observed.entries, observed.entries.T)
+    terms = _cost_terms(observed, mask)
+    grams = _grams(vectors, terms)
+    want = _double_centre(
+        mask.filled(observed.entries, vectors), np.full(n, 1.0 / n)
+    )
+    scale = np.sqrt(np.sum(want**2, axis=(1, 2)))
+    assert np.all(np.abs(grams - want).max(axis=(1, 2)) <= 1e-12 * scale)
+    assert np.array_equal(grams, grams.transpose(0, 2, 1))
+    # Both sides embed through eigh here.  The certified subspace path
+    # keeps a row's eigenvectors only to about 1e-10 |lambda_1| / gap, and
+    # on an elongated layout (lambda_2 / lambda_1 near 0.1) two Gram
+    # matrices that differ by rounding alone can then give costs that
+    # differ by 1e-8 relative; that is the eigen core's tolerance, tested
+    # in test_mds.py, not the cost formula's.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mds, "leading_eigenpairs", mds._eigh_pairs)
+        np.testing.assert_allclose(
+            _batched_costs(vectors, terms, 2),
+            _reference_costs(vectors, observed, mask, 2),
+            rtol=1e-9,
+            atol=0.0,
+        )
+
+
+@pytest.mark.parametrize(
+    "n, c", [(6, 0.8), (10, 0.9), (15, 0.9), (6, 1.0), (15, 0.5)]
+)
+def test_a_row_costs_alike_alone_and_in_any_batch(n, c, rng):
+    # The solver scores a generation in one batch and evaluate_cost scores
+    # one row: a row's cost must not depend on the rows beside it.
+    observed, mask, vectors = _noisy_problem(rng, n, c)
+    if c == 0.5:
+        assert vectors.shape[1] == 52  # many basis columns in the product
+    terms = _cost_terms(observed, mask)
+    costs = _batched_costs(vectors, terms, 2)
+    for i in range(0, 400, 3):
+        lo = max(0, i - 3)
+        assert _batched_costs(vectors[i : i + 1], terms, 2)[0] == costs[i]
+        assert _batched_costs(vectors[lo : lo + 7], terms, 2)[i - lo] == costs[i]
+    for i in (0, 399):
+        assert evaluate_cost(vectors[i], observed, mask, 2) == costs[i]
 
 
 # ---------------------------------------------------------------------------
