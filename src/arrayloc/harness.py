@@ -253,14 +253,11 @@ def _signal_level_edm(
         clock_offsets_s=offsets,
         mask=mask,
     )
+    i, j = np.nonzero(np.triu(mask.mask, 1))  # every link once, row-major
+    tof = two_way_tof(simulate_exchange(scenario, i, j, rng))
     entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not mask.mask[i, j]:
-                continue
-            quad = simulate_exchange(scenario, i, j, rng)
-            est = max(0.0, SPEED_OF_LIGHT * two_way_tof(quad))
-            entries[i, j] = entries[j, i] = est**2
+    # Scalar ** is libm pow, whose last bit can differ from an array's x*x.
+    entries[i, j] = entries[j, i] = [max(0.0, SPEED_OF_LIGHT * t) ** 2 for t in tof]
     return Edm(entries, observed=mask)
 
 

@@ -139,6 +139,17 @@ def crlb_sigma_d(bandwidth_hz, pulse_s, snr_linear, sample_rate_hz):
 # ---------------------------------------------------------------------------
 
 
+# Receptions go through the FFTs this many rows at a time: fewer rows cost
+# more per row, more rows only add memory, and the working set stays flat
+# at any node count.
+_BLOCK_ROWS = 8
+
+
+def _correlate(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """Matched filter of every row of ``rx`` at non-negative integer lags."""
+    return sp_signal.fftconvolve(rx, tx[::-1].conj()[None], mode="valid", axes=-1)
+
+
 def matched_filter(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
     """Correlate a received window against the template.
 
@@ -152,26 +163,40 @@ def matched_filter(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be non-empty 1-D sequences")
     if rx.size < tx.size:
         raise ValueError("received window is shorter than the template")
-    return sp_signal.correlate(rx, tx, mode="valid", method="fft")
+    return _correlate(rx[None], tx)[0]
 
 
-def _parabola_vertex(ym1: float, y0: float, yp1: float) -> float:
+def _parabola_vertex(mag: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Vertex of the parabola through each row's peak and its neighbours."""
+    if np.any(peak <= 0) or np.any(peak >= mag.shape[1] - 1):
+        raise ValueError("correlation peak sits on the window boundary")
+    ym1, y0, yp1 = np.take_along_axis(mag, peak[:, None] + [-1, 0, 1], axis=1).T
     denom = 2.0 * (2.0 * y0 - yp1 - ym1)
-    if denom == 0.0:
-        return 0.0
-    return (yp1 - ym1) / denom
+    flat = denom == 0.0
+    return np.where(flat, 0.0, (yp1 - ym1) / np.where(flat, 1.0, denom))
 
 
-def _delayed(samples: np.ndarray, delay_samples: float, out_len: int) -> np.ndarray:
-    """Band-limited copy of ``samples`` delayed by a real number of samples."""
-    if delay_samples < 0:
-        raise ValueError("delay must be non-negative")
-    if out_len < samples.size + int(math.ceil(delay_samples)):
-        raise ValueError("output window too short for the requested delay")
-    buf = np.zeros(out_len, dtype=complex)
-    buf[: samples.size] = samples
-    phase = np.exp(-2j * np.pi * np.fft.fftfreq(out_len) * delay_samples)
-    return np.fft.ifft(np.fft.fft(buf) * phase)
+def _receive(tx, delays, out_len, noise=()):
+    """Matched-filter peak and parabola vertex of delayed copies of ``tx``.
+
+    Row k is a band-limited copy of ``tx`` delayed by ``delays[k]`` samples
+    in a window of ``out_len`` samples, plus ``noise[k]`` where that is given
+    and not None.  Each row gives the same bits alone or in a block.
+    """
+    spectrum = np.fft.fft(tx, out_len)  # of the zero-padded pulse
+    ramp = -2j * np.pi * np.fft.fftfreq(out_len)
+    peaks = np.empty(delays.size, dtype=int)
+    vertices = np.empty(delays.size)
+    for start in range(0, delays.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        rx = np.fft.ifft(spectrum * np.exp(ramp * delays[rows, None]))
+        for row, extra in zip(rx, noise[rows]):
+            if extra is not None:
+                row += extra
+        mag = np.abs(_correlate(rx, tx))
+        peaks[rows] = mag.argmax(axis=1)
+        vertices[rows] = _parabola_vertex(mag, peaks[rows])
+    return peaks, vertices
 
 
 @dataclass
@@ -187,8 +212,9 @@ class QlsLut:
     raw_offsets: np.ndarray  # sorted knot positions, in samples
     corrections: np.ndarray  # additive corrections, in samples
 
-    def correction_at(self, raw_offset: float) -> float:
-        return float(np.interp(raw_offset, self.raw_offsets, self.corrections))
+    def correction_at(self, raw_offset):
+        """Correction at one raw offset, or elementwise at an array of them."""
+        return np.interp(raw_offset, self.raw_offsets, self.corrections)
 
 
 _LUT_CACHE: dict[tuple, QlsLut] = {}
@@ -218,17 +244,10 @@ def build_qls_lut(waveform: TwoToneWaveform, grid_points: int = 64) -> QlsLut:
         return cached
     tx = waveform.samples
     base = 16
-    out_len = tx.size + 2 * base
-    raw = np.empty(grid_points)
-    corrections = np.empty(grid_points)
     fracs = -0.5 + (np.arange(grid_points) + 0.5) / grid_points
-    for k, frac in enumerate(fracs):
-        corr = matched_filter(_delayed(tx, base + frac, out_len), tx)
-        mag = np.abs(corr)
-        peak = int(np.argmax(mag))
-        vertex = _parabola_vertex(mag[peak - 1], mag[peak], mag[peak + 1])
-        raw[k] = (peak - base) + vertex
-        corrections[k] = (base + frac) - (peak + vertex)
+    peak, vertex = _receive(tx, base + fracs, tx.size + 2 * base)
+    raw = (peak - base) + vertex
+    corrections = (base + fracs) - (peak + vertex)
     order = np.argsort(raw, kind="stable")
     lut = QlsLut(
         oversampling_ratio=waveform.sample_rate_hz / waveform.bandwidth_hz,
@@ -252,11 +271,7 @@ def qls_refine(
     mag = np.abs(np.asarray(corr))
     if mag.ndim != 1 or mag.size < 3:
         raise ValueError("need at least three correlation samples")
-    if peak_index <= 0 or peak_index >= mag.size - 1:
-        raise ValueError("correlation peak sits on the window boundary")
-    vertex = _parabola_vertex(
-        mag[peak_index - 1], mag[peak_index], mag[peak_index + 1]
-    )
+    vertex = _parabola_vertex(mag[None], np.array([peak_index]))[0]
     correction = lut.correction_at(vertex) if lut is not None else 0.0
     return float(peak_index + vertex + correction)
 
@@ -281,18 +296,18 @@ class ClockModel:
             raise ValueError("tick period must be positive")
         self.offsets_s = offsets
 
-    def edge_at_or_after(self, local_t: float) -> float:
-        return math.ceil(local_t / self.tick_s) * self.tick_s
+    def edge_at_or_after(self, local_t):
+        return np.ceil(local_t / self.tick_s) * self.tick_s
 
 
 @dataclass
 class TimestampQuad:
-    """The four locally timestamped events of one two-way exchange."""
+    """The four local timestamps of an exchange (or arrays of them, one per pair)."""
 
-    tx_i_s: float  # initiator transmit, node i's clock
-    rx_j_s: float  # responder receive, node j's clock
-    tx_j_s: float  # responder transmit, node j's clock
-    rx_i_s: float  # initiator receive, node i's clock
+    tx_i_s: float | np.ndarray  # initiator transmit, node i's clock
+    rx_j_s: float | np.ndarray  # responder receive, node j's clock
+    tx_j_s: float | np.ndarray  # responder transmit, node j's clock
+    rx_i_s: float | np.ndarray  # initiator receive, node i's clock
 
 
 def apparent_tof(t_tx_s: float, t_rx_s: float) -> float:
@@ -343,6 +358,11 @@ class RangingScenario:
             raise ValueError("window margin must be at least 2 samples")
         self.lut = build_qls_lut(self.waveform)
 
+    @property
+    def window_len(self) -> int:
+        """Samples in one capture window."""
+        return self.waveform.samples.size + self.window_margin + 24
+
 
 def make_scenario(
     layout: NodeLayout,
@@ -372,67 +392,80 @@ def make_scenario(
     )
 
 
-def _receive_leg(
-    scenario: RangingScenario,
-    sender: int,
-    receiver: int,
-    t_tx_local: float,
-    tof_s: float,
-    rng: np.random.Generator,
-) -> float:
-    """Simulate one reception; returns the local receive stamp."""
+def _receive_legs(scenario, senders, receivers, t_tx_local, tof_s, noise):
+    """Local receive stamps of one leg per row; ``noise`` as for ``_receive``."""
     clocks = scenario.clocks
     fs = scenario.waveform.sample_rate_hz
-    tx = scenario.waveform.samples
-    t_tx_true = t_tx_local - clocks.offsets_s[sender]
+    t_tx_true = t_tx_local - clocks.offsets_s[senders]
     t_arrival_true = (
-        t_tx_true + tof_s + scenario.hardware_delay_s[sender, receiver]
+        t_tx_true + tof_s + scenario.hardware_delay_s[senders, receivers]
     )
-    t_arrival_local = t_arrival_true + clocks.offsets_s[receiver]
+    t_arrival_local = t_arrival_true + clocks.offsets_s[receivers]
     # Capture opens a few ticks ahead of the expected arrival, on the
     # receiver's own clock grid (coarse alignment is assumed solved).
-    start_idx = math.floor(t_arrival_local * fs) - scenario.window_margin
-    delay_samples = t_arrival_local * fs - start_idx
-    out_len = tx.size + scenario.window_margin + 24
-    rx = _delayed(tx, delay_samples, out_len)
-    if scenario.link_snrs is not None:
-        snr = scenario.link_snrs[sender, receiver]
-        if np.isfinite(snr):
-            sigma = math.sqrt(0.5 / snr)
-            rx = rx + sigma * (
-                rng.standard_normal(out_len)
-                + 1j * rng.standard_normal(out_len)
-            )
-    corr = matched_filter(rx, tx)
-    peak = int(np.argmax(np.abs(corr)))
-    est_delay = qls_refine(corr, peak, scenario.lut)
+    start_idx = np.floor(t_arrival_local * fs).astype(int) - scenario.window_margin
+    delay = t_arrival_local * fs - start_idx
+    tx = scenario.waveform.samples
+    peak, vertex = _receive(tx, delay, scenario.window_len, noise)
+    est_delay = peak + vertex + scenario.lut.correction_at(vertex)
     t_rx_local = (start_idx + est_delay) * clocks.tick_s
-    t_rx_local -= scenario.calibration_s[sender, receiver]
-    return t_rx_local
+    return t_rx_local - scenario.calibration_s[senders, receivers]
 
 
 def simulate_exchange(
-    scenario: RangingScenario, i: int, j: int, rng: np.random.Generator
+    scenario: RangingScenario,
+    i: int | np.ndarray,
+    j: int | np.ndarray,
+    rng: np.random.Generator,
 ) -> TimestampQuad:
-    """Run one full two-way exchange between nodes i and j.
+    """Run full two-way exchanges between nodes i and j.
 
     The initiator transmits on a random edge of its own clock, the responder
     answers after the turnaround time; both receive stamps come from the
     matched-filter + interpolation estimator on synthesized waveforms.
+
+    ``i`` and ``j`` are node indices, or index arrays of one shape that give
+    a quad of arrays of that shape.  Pairs draw from ``rng`` in row-major
+    order, each its transmit tick and then the noise of its two legs, as one
+    call per pair would.  Every pair is checked before the first draw.
     """
+    if np.shape(i) != np.shape(j):
+        raise ValueError("i and j must have the same shape")
+    ii, jj = np.ravel(i), np.ravel(j)
     n = scenario.layout.count
-    if i == j or not (0 <= i < n and 0 <= j < n):
+    if np.any((ii == jj) | (ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)):
         raise ValueError("need two distinct valid node indices")
-    if scenario.mask is not None and not scenario.mask.mask[i, j]:
-        raise LinkUnavailableError(f"no measurable link between {i} and {j}")
-    x = scenario.layout.coords
-    tof = float(np.linalg.norm(x[:, i] - x[:, j])) / SPEED_OF_LIGHT
-    tick = scenario.clocks.tick_s
-    t_tx_i = int(rng.integers(0, 200_000)) * tick
-    rx_j = _receive_leg(scenario, i, j, t_tx_i, tof, rng)
-    t_tx_j = scenario.clocks.edge_at_or_after(rx_j + scenario.turnaround_s)
-    rx_i = _receive_leg(scenario, j, i, t_tx_j, tof, rng)
-    return TimestampQuad(tx_i_s=t_tx_i, rx_j_s=rx_j, tx_j_s=t_tx_j, rx_i_s=rx_i)
+    linked = scenario.mask is None or scenario.mask.mask[ii, jj]
+    if not np.all(linked):
+        k = np.argmin(linked)
+        raise LinkUnavailableError(f"no measurable link between {ii[k]} and {jj[k]}")
+    x, snrs, tick = scenario.layout.coords, scenario.link_snrs, scenario.clocks.tick_s
+
+    def noise(sender, receiver):
+        if snrs is None or not np.isfinite(snrs[sender, receiver]):
+            return None
+        sigma = math.sqrt(0.5 / snrs[sender, receiver])
+        size = scenario.window_len
+        return sigma * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+    stamps = np.empty((4, ii.size))
+    # Pairs go block by block, so the pre-drawn noise stays flat in memory.
+    for start in range(0, ii.size, _BLOCK_ROWS):
+        pairs = slice(start, start + _BLOCK_ROWS)
+        tx_i, rx_j, tx_j, rx_i = stamps[:, pairs]
+        tof, legs = np.empty(tx_i.size), []
+        for k, (a, b) in enumerate(zip(ii[pairs], jj[pairs])):
+            # A per-pair norm: along an axis it may round differently.
+            tof[k] = float(np.linalg.norm(x[:, a] - x[:, b])) / SPEED_OF_LIGHT
+            tx_i[k] = int(rng.integers(0, 200_000)) * tick
+            legs.append((noise(a, b), noise(b, a)))
+        first, second = zip(*legs)
+        rx_j[:] = _receive_legs(scenario, ii[pairs], jj[pairs], tx_i, tof, first)
+        tx_j[:] = scenario.clocks.edge_at_or_after(rx_j + scenario.turnaround_s)
+        rx_i[:] = _receive_legs(scenario, jj[pairs], ii[pairs], tx_j, tof, second)
+    if np.ndim(i) == 0:
+        return TimestampQuad(*stamps[:, 0].tolist())
+    return TimestampQuad(*stamps.reshape(4, *np.shape(i)))
 
 
 # ---------------------------------------------------------------------------

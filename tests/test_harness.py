@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,3 +432,16 @@ def test_wall_time_not_serialized(tmp_path):
     run_and_write(_tiny_config(), tmp_path / "out")
     header = (tmp_path / "out" / "records.csv").read_text().splitlines()[0]
     assert "wall_time" not in header
+
+
+def test_traced_entry_points_resolve():
+    # perfbench/tracing.py wraps these attributes by name; a missing one
+    # makes `perfbench/run.py --trace 1` and perfbench/smoke.py fail with
+    # AttributeError
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.ENTRY_POINTS
+    for module, attr, _ in tracing.ENTRY_POINTS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"

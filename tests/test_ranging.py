@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
+from arrayloc import harness, ranging
 from arrayloc.constants import SPEED_OF_LIGHT
 from arrayloc.geometry import AdjacencyMask, NodeLayout, edm_from_points
 from arrayloc.ranging import (
+    _BLOCK_ROWS,
     LinkUnavailableError,
     TimestampQuad,
     apparent_tof,
@@ -34,7 +38,10 @@ from conftest import (
 
 
 def _frac_delay(samples: np.ndarray, delay: float, out_len: int) -> np.ndarray:
-    """Band-limited fractional delay via an FFT phase ramp (test-side oracle)."""
+    """Band-limited fractional delay via an FFT phase ramp (test-side oracle).
+
+    The per-leg delay of the receive path before the block core, bit for bit.
+    """
     buf = np.zeros(out_len, dtype=complex)
     buf[: samples.size] = samples
     phase = np.exp(-2j * np.pi * np.fft.fftfreq(out_len) * delay)
@@ -396,6 +403,299 @@ def test_signal_vs_statistical_bandwidth_law(wave40, rng):
             legs.append(apparent_tof(quad.tx_j_s, quad.rx_i_s) - tof)
         stds.append(np.std(legs, ddof=1))
     assert stds[1] / stds[0] == pytest.approx(2.0, rel=0.10)
+
+
+# ---------------------------------------------------------------------------
+# the block receive core against the per-leg path it replaced
+# ---------------------------------------------------------------------------
+# The _oracle_* functions copy the receive path as it was before ranging
+# moved to row blocks: one delay, one correlation and one peak per leg, one
+# exchange per pair, and the harness's pair loop.  The block core must give
+# the same bits.
+
+
+def _oracle_vertex(ym1, y0, yp1):
+    denom = 2.0 * (2.0 * y0 - yp1 - ym1)
+    if denom == 0.0:
+        return 0.0
+    return (yp1 - ym1) / denom
+
+
+def _oracle_peak(rx, tx):
+    mag = np.abs(sp_signal.correlate(rx, tx, mode="valid", method="fft"))
+    peak = int(np.argmax(mag))
+    return peak, _oracle_vertex(mag[peak - 1], mag[peak], mag[peak + 1])
+
+
+def _oracle_lut(waveform, grid_points=64):
+    tx = waveform.samples
+    base = 16
+    out_len = tx.size + 2 * base
+    raw = np.empty(grid_points)
+    corrections = np.empty(grid_points)
+    fracs = -0.5 + (np.arange(grid_points) + 0.5) / grid_points
+    for k, frac in enumerate(fracs):
+        peak, vertex = _oracle_peak(_frac_delay(tx, base + frac, out_len), tx)
+        raw[k] = (peak - base) + vertex
+        corrections[k] = (base + frac) - (peak + vertex)
+    order = np.argsort(raw, kind="stable")
+    return raw[order], corrections[order]
+
+
+_ORACLE_LUTS: dict[float, tuple] = {}
+
+
+def _oracle_receive_leg(scenario, sender, receiver, t_tx_local, tof_s, rng):
+    waveform = scenario.waveform
+    if waveform.bandwidth_hz not in _ORACLE_LUTS:
+        _ORACLE_LUTS[waveform.bandwidth_hz] = _oracle_lut(waveform)
+    clocks = scenario.clocks
+    fs = waveform.sample_rate_hz
+    tx = waveform.samples
+    t_tx_true = t_tx_local - clocks.offsets_s[sender]
+    t_arrival_true = (
+        t_tx_true + tof_s + scenario.hardware_delay_s[sender, receiver]
+    )
+    t_arrival_local = t_arrival_true + clocks.offsets_s[receiver]
+    start_idx = math.floor(t_arrival_local * fs) - scenario.window_margin
+    delay_samples = t_arrival_local * fs - start_idx
+    out_len = tx.size + scenario.window_margin + 24
+    rx = _frac_delay(tx, delay_samples, out_len)
+    if scenario.link_snrs is not None:
+        snr = scenario.link_snrs[sender, receiver]
+        if np.isfinite(snr):
+            sigma = math.sqrt(0.5 / snr)
+            rx = rx + sigma * (
+                rng.standard_normal(out_len) + 1j * rng.standard_normal(out_len)
+            )
+    peak, vertex = _oracle_peak(rx, tx)
+    correction = float(np.interp(vertex, *_ORACLE_LUTS[waveform.bandwidth_hz]))
+    est_delay = float(peak + vertex + correction)
+    t_rx_local = (start_idx + est_delay) * clocks.tick_s
+    t_rx_local -= scenario.calibration_s[sender, receiver]
+    return t_rx_local
+
+
+def _oracle_exchange(scenario, i, j, rng):
+    x = scenario.layout.coords
+    tof = float(np.linalg.norm(x[:, i] - x[:, j])) / SPEED_OF_LIGHT
+    tick = scenario.clocks.tick_s
+    t_tx_i = int(rng.integers(0, 200_000)) * tick
+    rx_j = _oracle_receive_leg(scenario, i, j, t_tx_i, tof, rng)
+    t_tx_j = math.ceil((rx_j + scenario.turnaround_s) / tick) * tick
+    rx_i = _oracle_receive_leg(scenario, j, i, t_tx_j, tof, rng)
+    return TimestampQuad(tx_i_s=t_tx_i, rx_j_s=rx_j, tx_j_s=t_tx_j, rx_i_s=rx_i)
+
+
+def _oracle_signal_level_edm(layout, mask, snr_h_linear, waveform, rng):
+    n = layout.count
+    offsets = rng.uniform(-5e-4, 5e-4, size=n)
+    scenario = make_scenario(
+        layout, waveform, snr_h_linear=snr_h_linear, clock_offsets_s=offsets,
+        mask=mask,
+    )
+    entries = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not mask.mask[i, j]:
+                continue
+            quad = _oracle_exchange(scenario, i, j, rng)
+            est = max(0.0, SPEED_OF_LIGHT * two_way_tof(quad))
+            entries[i, j] = entries[j, i] = est**2
+    return entries
+
+
+def _fields(quad: TimestampQuad) -> np.ndarray:
+    return np.array([quad.tx_i_s, quad.rx_j_s, quad.tx_j_s, quad.rx_i_s])
+
+
+def _wave(bandwidth_hz: float):
+    return synth_two_tone(bandwidth_hz, REF_PULSE_S, REF_SAMPLE_RATE_HZ)
+
+
+def _random_mask(n: int, c: float, rng: np.random.Generator) -> AdjacencyMask:
+    """Any symmetric mask with about c of the pairs; ranging needs no rigidity."""
+    rows, cols = np.triu_indices(n, 1)
+    pick = rng.choice(rows.size, size=max(1, round(c * rows.size)), replace=False)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows[pick], cols[pick]] = True
+    return AdjacencyMask(adj | adj.T)
+
+
+@pytest.mark.parametrize(
+    "n, c, snr_db, bandwidth_hz",
+    [
+        (3, 1.0, 34.0, 40e6),
+        (3, 0.5, 10.0, 20e6),
+        (4, 0.5, 10.0, 40e6),
+        (5, 0.7, None, 20e6),
+        (6, 0.8, 34.0, 10e6),
+        (7, 0.6, 10.0, 20e6),
+        (8, 0.8, 34.0, 40e6),
+        (8, 1.0, 10.0, 10e6),
+        (8, 0.5, None, 40e6),
+    ],
+)
+def test_signal_level_edm_matches_the_per_pair_oracle(n, c, snr_db, bandwidth_hz):
+    setup = np.random.default_rng(1000 + 10 * n + round(10 * c))
+    layout = NodeLayout(setup.uniform(0.0, 5.0, size=(2, n)))
+    mask = _random_mask(n, c, setup)
+    snr_h = None if snr_db is None else db_to_linear(snr_db)
+    waveform = _wave(bandwidth_hz)
+    got = harness._signal_level_edm(
+        layout, mask, snr_h, waveform, np.random.default_rng(n)
+    )
+    want = _oracle_signal_level_edm(
+        layout, mask, snr_h, waveform, np.random.default_rng(n)
+    )
+    assert np.array_equal(got.entries, want)
+
+
+def test_signal_level_edm_squares_ranges_like_the_pair_loop(monkeypatch, wave40):
+    # Scalar ** is libm pow, which differs from an array's x*x in the last
+    # bit for about one range in 1200: feed only such ranges, so the
+    # entries must come out as the pair loop's est**2, not as a square.
+    candidates = np.random.default_rng(0).uniform(1e-9, 2e-8, size=200_000)
+    ranges = SPEED_OF_LIGHT * candidates
+    differ = candidates[[r**2 != r * r for r in ranges.tolist()]][:28]
+    assert differ.size == 28
+
+    def fake_exchange(scenario, i, j, rng):
+        tof = differ[: np.size(i)]
+        return TimestampQuad(np.zeros_like(tof), tof, np.zeros_like(tof), tof)
+
+    monkeypatch.setattr(harness, "simulate_exchange", fake_exchange)
+    layout = NodeLayout(np.random.default_rng(1).uniform(0.0, 5.0, size=(2, 8)))
+    edm = harness._signal_level_edm(
+        layout, AdjacencyMask.complete(8), None, wave40, np.random.default_rng(2)
+    )
+    iu = np.triu_indices(8, 1)
+    assert edm.entries[iu].tolist() == [
+        max(0.0, SPEED_OF_LIGHT * t) ** 2 for t in differ
+    ]
+
+
+@pytest.mark.parametrize("pairs", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 22])
+@pytest.mark.parametrize("snr_db", [34.0, 10.0])
+def test_exchange_arrays_match_the_per_pair_oracle(wave40, pairs, snr_db):
+    # hardware delays and calibrations on every link, some links without
+    # finite SNR (no noise on those legs), pairs in both orientations and
+    # repeated pairs
+    n = 8
+    setup = np.random.default_rng(pairs)
+    layout = NodeLayout(setup.uniform(0.0, 5.0, size=(2, n)))
+    scenario = make_scenario(
+        layout,
+        wave40,
+        snr_h_linear=db_to_linear(snr_db),
+        clock_offsets_s=setup.uniform(-5e-4, 5e-4, size=n),
+        hardware_delay_s=setup.uniform(0.0, 20e-9, size=(n, n)),
+        calibration_s=setup.uniform(0.0, 20e-9, size=(n, n)),
+    )
+    scenario.link_snrs[::3] = np.inf
+    i = setup.integers(0, n, size=pairs)
+    j = (i + setup.integers(1, n, size=pairs)) % n
+    rng = np.random.default_rng(7)
+    quad = simulate_exchange(scenario, i, j, rng)
+    oracle_rng = np.random.default_rng(7)
+    want = [_oracle_exchange(scenario, a, b, oracle_rng) for a, b in zip(i, j)]
+    assert np.array_equal(_fields(quad), np.array([_fields(q) for q in want]).T)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # one pair alone is a quad of floats with the same bits
+    one = simulate_exchange(scenario, int(i[0]), int(j[0]), np.random.default_rng(7))
+    assert all(type(v) is float for v in _fields(one).tolist())
+    assert np.array_equal(_fields(one), _fields(want[0]))
+    # index arrays of any shape give fields of that shape
+    shaped = simulate_exchange(
+        scenario, i.reshape(1, -1), j.reshape(1, -1), np.random.default_rng(7)
+    )
+    assert shaped.rx_i_s.shape == (1, pairs)
+    assert np.array_equal(_fields(shaped)[:, 0], _fields(quad))
+
+
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 20e6, 40e6])
+@pytest.mark.parametrize("grid_points", [8, 64, 67])
+def test_lut_matches_the_per_point_oracle(monkeypatch, bandwidth_hz, grid_points):
+    monkeypatch.setattr(ranging, "_LUT_CACHE", {})  # restored after the test
+    waveform = _wave(bandwidth_hz)
+    lut = build_qls_lut(waveform, grid_points=grid_points)
+    raw, corrections = _oracle_lut(waveform, grid_points)
+    assert np.array_equal(lut.raw_offsets, raw)
+    assert np.array_equal(lut.corrections, corrections)
+
+
+def test_matched_filter_matches_scipy_correlate(wave40, rng):
+    tx = wave40.samples
+    rx = _frac_delay(tx, 9.3, tx.size + 32)
+    rx = rx + 0.1 * (rng.standard_normal(rx.size) + 1j * rng.standard_normal(rx.size))
+    want = sp_signal.correlate(rx, tx, mode="valid", method="fft")
+    assert np.array_equal(matched_filter(rx, tx), want)
+
+
+def test_a_moved_scenario_exchanges_like_a_fresh_one(wave40):
+    # criterion 05 and two tests here move nodes by writing
+    # scenario.layout.coords between exchanges: nothing may be cached
+    n = 5
+    setup = np.random.default_rng(3)
+    scenario = make_scenario(
+        NodeLayout(setup.uniform(0.0, 5.0, size=(2, n))),
+        wave40,
+        snr_h_linear=db_to_linear(REF_SNR_DB),
+        clock_offsets_s=setup.uniform(-5e-4, 5e-4, size=n),
+    )
+    i, j = np.triu_indices(n, 1)
+    before = simulate_exchange(scenario, i, j, np.random.default_rng(2))
+    scenario.layout.coords[:, 0] += 0.37
+    scenario.layout.coords[1, 3] = 4.2
+    moved = simulate_exchange(scenario, i, j, np.random.default_rng(2))
+    fresh = dataclasses.replace(
+        scenario, layout=NodeLayout(scenario.layout.coords.copy())
+    )
+    assert np.array_equal(
+        _fields(moved), _fields(simulate_exchange(fresh, i, j, np.random.default_rng(2)))
+    )
+    assert not np.array_equal(_fields(moved), _fields(before))
+    one = simulate_exchange(scenario, 0, 3, np.random.default_rng(4))
+    assert _fields(one).tolist() == _fields(
+        simulate_exchange(fresh, 0, 3, np.random.default_rng(4))
+    ).tolist()
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ((2, 2), ValueError),
+        ((0, 4), ValueError),
+        ((-1, 2), ValueError),
+        ((2, 3), LinkUnavailableError),
+    ],
+)
+def test_exchange_arrays_check_every_pair_before_drawing(wave40, bad, error):
+    adj = ~np.eye(4, dtype=bool)
+    adj[2, 3] = adj[3, 2] = False
+    layout = NodeLayout(np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0]]))
+    scenario = make_scenario(
+        layout, wave40, snr_h_linear=db_to_linear(REF_SNR_DB), mask=AdjacencyMask(adj)
+    )
+    i = np.array([0, 1, bad[0], 0])
+    j = np.array([1, 2, bad[1], 2])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as excinfo:
+        simulate_exchange(scenario, i, j, rng)
+    assert type(excinfo.value) is error
+    with pytest.raises(ValueError) as scalar:
+        simulate_exchange(scenario, *bad, rng)
+    assert type(scalar.value) is error
+    assert rng.bit_generator.state == state
+
+
+def test_exchange_rejects_index_arrays_of_different_shapes(wave40, rng):
+    scenario = make_scenario(_two_node_layout(1.0), wave40)
+    with pytest.raises(ValueError):
+        simulate_exchange(scenario, np.array([0, 1]), np.array([1]), rng)
+    with pytest.raises(ValueError):
+        simulate_exchange(scenario, np.array([0]), 1, rng)
 
 
 # ---------------------------------------------------------------------------
