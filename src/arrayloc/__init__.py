@@ -13,12 +13,10 @@ from .geometry import (
     CompletabilityError,
     Edm,
     NodeLayout,
-    connectivity_ratio,
     edm_from_points,
     is_completable,
     mask_edm,
     max_edges,
-    min_connectivity,
     min_edges,
     random_completable_mask,
 )
@@ -33,7 +31,6 @@ from .harness import (
 )
 from .mds import classical_mds, gram_from_edm
 from .ranging import (
-    ClockModel,
     QlsLut,
     RangingScenario,
     TimestampQuad,
@@ -42,23 +39,18 @@ from .ranging import (
     build_qls_lut,
     crlb_sigma_d,
     make_scenario,
-    matched_filter,
-    qls_refine,
     sample_edm_statistical,
     simulate_exchange,
     synth_two_tone,
     two_way_tof,
 )
 from .snr import (
-    LinkSnrModel,
     SampleMatrix,
     SnrEstimate,
     blind_snr_estimate,
     db_to_linear,
-    harmonic_mean_snr,
     linear_to_db,
-    link_snr,
-    model_from_edm,
+    link_snr_matrix,
 )
 from .solver import SolverConfig, SolverRun, complete_and_localize, evaluate_cost
 

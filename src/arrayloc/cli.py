@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .geometry import (
     write_layout_csv,
 )
 from .harness import (
-    ExperimentConfig, LayoutSpec, load_config, run_experiment, write_outputs,
+    RANGING_MODES, ExperimentConfig, LayoutSpec, load_config, run_experiment,
+    write_outputs,
 )
 from .mds import classical_mds
 from .ranging import crlb_sigma_d
@@ -60,8 +62,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    import time
-
     started = time.perf_counter()
     records = run_experiment(cfg)
     elapsed = time.perf_counter() - started
@@ -137,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, default=34.0)
     p.add_argument("--pulse", type=float, default=10e-6, help="pulse duration, s")
     p.add_argument("--fs", type=float, default=200e6, help="sample rate, Sa/s")
-    p.add_argument("--mode", choices=("statistical", "signal_level"),
-                   default="statistical")
+    p.add_argument("--mode", choices=RANGING_MODES, default="statistical")
     p.add_argument("--noiseless", action="store_true")
     p.add_argument("--extent", type=float, default=5.0, help="layout box side, m")
     p.add_argument("--seed", type=int, default=0)

@@ -91,11 +91,6 @@ class AdjacencyMask:
         out[..., cols, rows] = values
         return out
 
-    def missing_pairs(self) -> list[tuple[int, int]]:
-        """Unobserved (i, j) pairs with i < j, row-major order."""
-        rows, cols = self.missing_indices()
-        return list(zip(rows.tolist(), cols.tolist()))
-
     @classmethod
     def complete(cls, n: int) -> "AdjacencyMask":
         return cls(~np.eye(n, dtype=bool))
@@ -179,14 +174,6 @@ def edge_budget(n: int, c: float) -> int:
             f"{budget} < {min_edges(n)} edges"
         )
     return budget
-
-
-def min_connectivity(n: int) -> float:
-    return min_edges(n) / max_edges(n)
-
-
-def connectivity_ratio(mask: AdjacencyMask) -> float:
-    return mask.edge_count / max_edges(mask.count)
 
 
 def _closure(adj: np.ndarray, seed: list[int], m: int) -> np.ndarray:

@@ -414,8 +414,3 @@ def write_outputs(
         )
         fh.write("\n")
     return paths
-
-
-def run_and_write(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Path]:
-    records = run_experiment(cfg)
-    return write_outputs(cfg, records, out_dir)

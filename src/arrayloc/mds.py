@@ -30,10 +30,10 @@ from .geometry import Edm, NodeLayout
 NEG_EIG_TOL = 1e-6
 
 
-def _double_centre(d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """-1/2 (I - 1 s^T) D (I - s 1^T), symmetrised; D is (N, N) or (P, N, N)."""
+def _double_centre(d: np.ndarray) -> np.ndarray:
+    """-1/2 J D J with J = I - 11^T / N, symmetrised; D is (N, N) or (P, N, N)."""
     n = d.shape[-1]
-    j = np.eye(n) - np.outer(np.ones(n), s)
+    j = np.eye(n) - 1.0 / n
     g = -0.5 * (j @ d @ j.T)
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
@@ -210,29 +210,14 @@ def batched_mds(stack: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Double-centres each matrix and returns ``embed_gram`` of the result.
     """
-    n = stack.shape[-1]
-    return embed_gram(_double_centre(stack, np.full(n, 1.0 / n)), m)
+    return embed_gram(_double_centre(stack), m)
 
 
-def gram_from_edm(edm: Edm, s: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix -1/2 (I - 1 s^T) D (I - s 1^T) for a complete D.
-
-    Args:
-        edm: fully observed squared-distance matrix.
-        s: centering weights with s^T 1 == 1; defaults to uniform 1/N.
-    """
+def gram_from_edm(edm: Edm) -> np.ndarray:
+    """Gram matrix -1/2 J D J, J = I - 11^T / N, of a complete D."""
     if not edm.is_complete:
         raise ValueError("Gram construction needs a fully observed matrix")
-    n = edm.count
-    if s is None:
-        s = np.full(n, 1.0 / n)
-    else:
-        s = np.asarray(s, dtype=float).reshape(-1)
-        if s.shape[0] != n:
-            raise ValueError("centering vector length must match matrix size")
-        if abs(s.sum() - 1.0) > 1e-9:
-            raise ValueError("centering vector must sum to 1")
-    return _double_centre(edm.entries, s)
+    return _double_centre(edm.entries)
 
 
 def classical_mds(edm: Edm, m: int) -> NodeLayout:

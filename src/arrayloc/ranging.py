@@ -150,22 +150,6 @@ def _correlate(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
     return sp_signal.fftconvolve(rx, tx[::-1].conj()[None], mode="valid", axes=-1)
 
 
-def matched_filter(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
-    """Correlate a received window against the template.
-
-    Returns the correlation at non-negative integer lags, so the
-    peak-magnitude index directly estimates the integer-sample delay of the
-    template inside the window.
-    """
-    rx = np.asarray(rx, dtype=complex)
-    tx = np.asarray(tx, dtype=complex)
-    if rx.ndim != 1 or tx.ndim != 1 or tx.size == 0:
-        raise ValueError("inputs must be non-empty 1-D sequences")
-    if rx.size < tx.size:
-        raise ValueError("received window is shorter than the template")
-    return _correlate(rx[None], tx)[0]
-
-
 def _parabola_vertex(mag: np.ndarray, peak: np.ndarray) -> np.ndarray:
     """Vertex of the parabola through each row's peak and its neighbours."""
     if np.any(peak <= 0) or np.any(peak >= mag.shape[1] - 1):
@@ -208,7 +192,6 @@ class QlsLut:
     one.  Lookup is linear interpolation between knots.
     """
 
-    oversampling_ratio: float  # fs / B
     raw_offsets: np.ndarray  # sorted knot positions, in samples
     corrections: np.ndarray  # additive corrections, in samples
 
@@ -249,31 +232,9 @@ def build_qls_lut(waveform: TwoToneWaveform, grid_points: int = 64) -> QlsLut:
     raw = (peak - base) + vertex
     corrections = (base + fracs) - (peak + vertex)
     order = np.argsort(raw, kind="stable")
-    lut = QlsLut(
-        oversampling_ratio=waveform.sample_rate_hz / waveform.bandwidth_hz,
-        raw_offsets=raw[order],
-        corrections=corrections[order],
-    )
+    lut = QlsLut(raw_offsets=raw[order], corrections=corrections[order])
     _LUT_CACHE[key] = lut
     return lut
-
-
-def qls_refine(
-    corr: np.ndarray, peak_index: int, lut: QlsLut | None = None
-) -> float:
-    """Sub-sample delay estimate from the correlation magnitude peak.
-
-    Fits a parabola through the peak and its neighbours; when a lookup
-    table is supplied the deterministic interpolation bias is removed.
-
-    Returns the refined delay in samples (peak_index + fractional offset).
-    """
-    mag = np.abs(np.asarray(corr))
-    if mag.ndim != 1 or mag.size < 3:
-        raise ValueError("need at least three correlation samples")
-    vertex = _parabola_vertex(mag[None], np.array([peak_index]))[0]
-    correction = lut.correction_at(vertex) if lut is not None else 0.0
-    return float(peak_index + vertex + correction)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +242,10 @@ def qls_refine(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClockModel:
-    """Free-running node clocks: constant offsets from true time, shared tick."""
-
-    offsets_s: np.ndarray  # per-node constant bias
-    tick_s: float  # sampling period; events snap to this grid
-
-    def __post_init__(self) -> None:
-        offsets = np.asarray(self.offsets_s, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(offsets)):
-            raise ValueError("clock offsets must be finite")
-        if self.tick_s <= 0:
-            raise ValueError("tick period must be positive")
-        self.offsets_s = offsets
-
-    def edge_at_or_after(self, local_t):
-        return np.ceil(local_t / self.tick_s) * self.tick_s
+# Capture opens this many samples ahead of the expected arrival.
+WINDOW_MARGIN = 8
+# The responder answers on its first clock tick this long after reception.
+TURNAROUND_S = 50e-6
 
 
 @dataclass
@@ -324,26 +272,29 @@ def two_way_tof(quad: TimestampQuad) -> float:
 
 @dataclass
 class RangingScenario:
-    """One simulated array epoch: geometry, clocks, waveform, and link model."""
+    """One simulated array epoch: geometry, clocks, waveform, and link model.
+
+    Node clocks run free with constant offsets from true time and tick once
+    per waveform sample period; events snap to that grid.
+    """
 
     layout: NodeLayout
-    clocks: ClockModel
+    clock_offsets_s: np.ndarray  # per-node constant bias
     waveform: TwoToneWaveform
     link_snrs: np.ndarray | None = None  # (N, N) linear SNR; None = noiseless
     hardware_delay_s: np.ndarray | None = None  # (N, N) static path delays
     calibration_s: np.ndarray | None = None  # (N, N) known delay corrections
     mask: AdjacencyMask | None = None
-    window_margin: int = 8  # samples of capture lead before expected arrival
-    turnaround_s: float = 50e-6
     lut: QlsLut = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.layout.count
-        if self.clocks.offsets_s.size != n:
+        offsets = np.asarray(self.clock_offsets_s, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(offsets)):
+            raise ValueError("clock offsets must be finite")
+        if offsets.size != n:
             raise ValueError("clock offset count must match node count")
-        expected_tick = 1.0 / self.waveform.sample_rate_hz
-        if not math.isclose(self.clocks.tick_s, expected_tick, rel_tol=1e-9):
-            raise ValueError("clock tick must equal the waveform sample period")
+        self.clock_offsets_s = offsets
         if self.hardware_delay_s is None:
             self.hardware_delay_s = np.zeros((n, n))
         if self.calibration_s is None:
@@ -354,14 +305,12 @@ class RangingScenario:
                 raise ValueError(f"{name} must be an ({n}, {n}) matrix")
         if self.mask is not None and self.mask.count != n:
             raise ValueError("mask size must match node count")
-        if self.window_margin < 2:
-            raise ValueError("window margin must be at least 2 samples")
         self.lut = build_qls_lut(self.waveform)
 
     @property
     def window_len(self) -> int:
         """Samples in one capture window."""
-        return self.waveform.samples.size + self.window_margin + 24
+        return self.waveform.samples.size + WINDOW_MARGIN + 24
 
 
 def make_scenario(
@@ -374,16 +323,13 @@ def make_scenario(
     mask: AdjacencyMask | None = None,
 ) -> RangingScenario:
     """Assemble a scenario, deriving per-link SNRs from the harmonic-mean model."""
-    n = layout.count
-    offsets = (
-        np.zeros(n) if clock_offsets_s is None else np.asarray(clock_offsets_s)
-    )
+    offsets = np.zeros(layout.count) if clock_offsets_s is None else clock_offsets_s
     link_snrs = None
     if snr_h_linear is not None:
         link_snrs = link_snr_matrix(edm_from_points(layout), snr_h_linear)
     return RangingScenario(
         layout=layout,
-        clocks=ClockModel(offsets, 1.0 / waveform.sample_rate_hz),
+        clock_offsets_s=offsets,
         waveform=waveform,
         link_snrs=link_snrs,
         hardware_delay_s=hardware_delay_s,
@@ -394,21 +340,21 @@ def make_scenario(
 
 def _receive_legs(scenario, senders, receivers, t_tx_local, tof_s, noise):
     """Local receive stamps of one leg per row; ``noise`` as for ``_receive``."""
-    clocks = scenario.clocks
+    offsets = scenario.clock_offsets_s
     fs = scenario.waveform.sample_rate_hz
-    t_tx_true = t_tx_local - clocks.offsets_s[senders]
+    t_tx_true = t_tx_local - offsets[senders]
     t_arrival_true = (
         t_tx_true + tof_s + scenario.hardware_delay_s[senders, receivers]
     )
-    t_arrival_local = t_arrival_true + clocks.offsets_s[receivers]
+    t_arrival_local = t_arrival_true + offsets[receivers]
     # Capture opens a few ticks ahead of the expected arrival, on the
     # receiver's own clock grid (coarse alignment is assumed solved).
-    start_idx = np.floor(t_arrival_local * fs).astype(int) - scenario.window_margin
+    start_idx = np.floor(t_arrival_local * fs).astype(int) - WINDOW_MARGIN
     delay = t_arrival_local * fs - start_idx
     tx = scenario.waveform.samples
     peak, vertex = _receive(tx, delay, scenario.window_len, noise)
     est_delay = peak + vertex + scenario.lut.correction_at(vertex)
-    t_rx_local = (start_idx + est_delay) * clocks.tick_s
+    t_rx_local = (start_idx + est_delay) * (1.0 / fs)
     return t_rx_local - scenario.calibration_s[senders, receivers]
 
 
@@ -439,7 +385,8 @@ def simulate_exchange(
     if not np.all(linked):
         k = np.argmin(linked)
         raise LinkUnavailableError(f"no measurable link between {ii[k]} and {jj[k]}")
-    x, snrs, tick = scenario.layout.coords, scenario.link_snrs, scenario.clocks.tick_s
+    x, snrs = scenario.layout.coords, scenario.link_snrs
+    tick = 1.0 / scenario.waveform.sample_rate_hz
 
     def noise(sender, receiver):
         if snrs is None or not np.isfinite(snrs[sender, receiver]):
@@ -461,7 +408,7 @@ def simulate_exchange(
             legs.append((noise(a, b), noise(b, a)))
         first, second = zip(*legs)
         rx_j[:] = _receive_legs(scenario, ii[pairs], jj[pairs], tx_i, tof, first)
-        tx_j[:] = scenario.clocks.edge_at_or_after(rx_j + scenario.turnaround_s)
+        tx_j[:] = np.ceil((rx_j + TURNAROUND_S) / tick) * tick
         rx_i[:] = _receive_legs(scenario, jj[pairs], ii[pairs], tx_j, tof, second)
     if np.ndim(i) == 0:
         return TimestampQuad(*stamps[:, 0].tolist())

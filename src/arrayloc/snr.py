@@ -29,55 +29,23 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-@dataclass
-class LinkSnrModel:
-    """Inverse-square link SNR anchored at the array harmonic mean."""
+def link_snr_matrix(edm: Edm, snr_h: float) -> np.ndarray:
+    """Per-link linear SNR snr_h * dbar^2 / d_ij^2; infinite on the diagonal.
 
-    snr_h: float  # linear harmonic-mean SNR
-    mean_sq_distance: float  # m^2
-
-    def __post_init__(self) -> None:
-        if self.snr_h <= 0:
-            raise ValueError("harmonic-mean SNR must be positive")
-        if self.mean_sq_distance <= 0:
-            raise ValueError("mean squared distance must be positive")
-
-    def at(self, sq_distance):
-        """Link SNR at a squared distance (m^2); scalar or elementwise."""
-        return self.snr_h * self.mean_sq_distance / sq_distance
-
-
-def model_from_edm(edm: Edm, snr_h: float) -> LinkSnrModel:
-    """Anchor a link SNR model to a complete squared-distance matrix."""
+    ``edm`` must be complete; dbar^2 is its mean squared internode distance.
+    """
+    if snr_h <= 0:
+        raise ValueError("harmonic-mean SNR must be positive")
     if not edm.is_complete:
         raise ValueError("SNR model needs the full distance matrix")
     n = edm.count
     if n < 2:
         raise ValueError("need at least two nodes")
-    iu = np.triu_indices(n, 1)
-    return LinkSnrModel(snr_h, float(edm.entries[iu].mean()))
-
-
-def link_snr(model: LinkSnrModel, distance: float) -> float:
-    if distance <= 0:
-        raise ValueError("link distance must be positive")
-    return model.at(distance**2)
-
-
-def link_snr_matrix(edm: Edm, snr_h: float) -> np.ndarray:
-    """Per-link linear SNR for every pair; infinite on the diagonal."""
-    model = model_from_edm(edm, snr_h)
+    mean_sq = float(edm.entries[np.triu_indices(n, 1)].mean())
+    if mean_sq <= 0:
+        raise ValueError("mean squared distance must be positive")
     with np.errstate(divide="ignore"):
-        return model.at(np.where(edm.entries > 0.0, edm.entries, 0.0))
-
-
-def harmonic_mean_snr(values: np.ndarray) -> float:
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size == 0:
-        raise ValueError("need at least one SNR value")
-    if np.any(values <= 0):
-        raise ValueError("SNR values must be positive")
-    return values.size / float(np.sum(1.0 / values))
+        return snr_h * mean_sq / np.where(edm.entries > 0.0, edm.entries, 0.0)
 
 
 @dataclass

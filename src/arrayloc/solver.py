@@ -105,7 +105,7 @@ def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
     ])
     i, j = np.nonzero(np.triu(mask.mask, 1))
     return _CostTerms(
-        basis=_double_centre(stack, np.full(n, 1.0 / n)),
+        basis=_double_centre(stack),
         rows=i,
         cols=j,
         target=0.5 * (observed.entries[i, j] + observed.entries[j, i]),

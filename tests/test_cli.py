@@ -18,7 +18,7 @@ from arrayloc.geometry import (
     write_layout_csv,
     write_mask_csv,
 )
-from arrayloc.harness import load_config
+from arrayloc.harness import RANGING_MODES, load_config
 from arrayloc.snr import SampleMatrix, db_to_linear, write_sample_matrix_csv
 
 from conftest import REF_CRLB_SIGMA_M
@@ -264,6 +264,15 @@ def test_simulate_subcommand_smoke(capsys):
     values = _parse_kv(capsys.readouterr().out)
     assert float(values["final_evm_m"]) < 1e-9
     assert values["converged"] == "true"
+
+
+def test_simulate_mode_choices_are_the_harness_modes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--mode", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(repr(mode) in err for mode in RANGING_MODES)
 
 
 @pytest.mark.parametrize("extent", ["-1", "0"])

@@ -13,13 +13,11 @@ from arrayloc.geometry import (
     CompletabilityError,
     Edm,
     NodeLayout,
-    connectivity_ratio,
     edge_budget,
     edm_from_points,
     is_completable,
     mask_edm,
     max_edges,
-    min_connectivity,
     min_edges,
     random_completable_mask,
     read_edm_csv,
@@ -102,24 +100,19 @@ def test_min_edges_values():
     assert min_edges(25) == 69
     with pytest.raises(ValueError):
         min_edges(3)
-
-
-def test_min_connectivity_closed_form():
-    # 3N - 6 edges out of N(N-1)/2 gives 6(N-2)/(N(N-1))
     for n in range(4, 51):
         assert min_edges(n) <= max_edges(n)
-        expected = 6.0 * (n - 2) / (n * (n - 1))
-        assert min_connectivity(n) == pytest.approx(expected, rel=1e-15)
 
 
 def test_connectivity_ratio_values(rng):
-    assert connectivity_ratio(AdjacencyMask.complete(6)) == 1.0
+    complete = AdjacencyMask.complete(6)
+    assert complete.edge_count / max_edges(6) == 1.0
     mask6 = random_completable_mask(6, 0.8, rng)
     assert mask6.edge_count == 12
-    assert connectivity_ratio(mask6) == pytest.approx(0.8)
+    assert mask6.edge_count / max_edges(6) == pytest.approx(0.8)
     mask10 = random_completable_mask(10, 0.5333, rng)
     assert mask10.edge_count == 24
-    assert connectivity_ratio(mask10) == pytest.approx(24.0 / 45.0)
+    assert mask10.edge_count / max_edges(10) == pytest.approx(24.0 / 45.0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +142,7 @@ def test_constructed_masks_are_completable(rng):
     # construction guarantee, exercised over a spread of sizes and budgets
     for _ in range(1000):
         n = int(rng.integers(4, 16))
-        c = rng.uniform(min_connectivity(n), 1.0)
+        c = rng.uniform(min_edges(n) / max_edges(n), 1.0)
         mask = random_completable_mask(n, c, rng)
         assert mask.edge_count == round(c * max_edges(n))
         assert is_completable(mask)
@@ -187,7 +180,8 @@ def _listed_random_completable_mask(
 )
 def test_random_mask_matches_the_listed_free_pairs(seed, n, share):
     # Same draws, same links: the free pairs are indexed in the same order.
-    c = min_connectivity(n) + share * (1.0 - min_connectivity(n))
+    low = min_edges(n) / max_edges(n)
+    c = low + share * (1.0 - low)
     got = random_completable_mask(n, c, np.random.default_rng(seed))
     want = _listed_random_completable_mask(n, c, np.random.default_rng(seed))
     assert np.array_equal(got.mask, want.mask)
@@ -212,7 +206,8 @@ def test_completability_is_invariant_to_node_relabelling(seed, n, kind):
         upper = np.triu(rng.random((n, n)) < 0.5, 1)
         mask = AdjacencyMask(upper | upper.T)
     else:
-        mask = random_completable_mask(n, rng.uniform(min_connectivity(n), 1.0), rng)
+        c = rng.uniform(min_edges(n) / max_edges(n), 1.0)
+        mask = random_completable_mask(n, c, rng)
     if kind == "cut":  # a node left with two links can never be resolved
         mask = _cut_to_two_links(mask, 0)
     answer = is_completable(mask)
@@ -247,7 +242,7 @@ def _joined_halves(n: int, rng: np.random.Generator) -> AdjacencyMask:
     adj = np.zeros((n, n), dtype=bool)
     for lo, hi in ((0, h), (h, n)):
         size = hi - lo
-        c = rng.uniform(min_connectivity(size), 1.0)
+        c = rng.uniform(min_edges(size) / max_edges(size), 1.0)
         adj[lo:hi, lo:hi] = random_completable_mask(size, c, rng).mask
     ends_a = rng.choice(h, size=2, replace=False)
     ends_b = h + rng.choice(n - h, size=2, replace=False)
@@ -305,9 +300,10 @@ def test_pruned_search_matches_exhaustive_search(seed, n, kind):
     elif kind == "sparse":  # random links, a few either side of the 3N-6 floor
         mask = _random_graph(n, min_edges(n) + int(rng.integers(-2, 4)), rng)
     elif kind == "floor":  # completable with no link to spare
-        mask = random_completable_mask(n, min_connectivity(n), rng)
+        mask = random_completable_mask(n, min_edges(n) / max_edges(n), rng)
     elif kind == "cut":
-        mask = random_completable_mask(n, rng.uniform(min_connectivity(n), 1.0), rng)
+        c = rng.uniform(min_edges(n) / max_edges(n), 1.0)
+        mask = random_completable_mask(n, c, rng)
         mask = _cut_to_two_links(mask, int(rng.integers(n)))
     elif kind == "halves":
         mask = _joined_halves(max(n, 8), rng)
@@ -369,7 +365,8 @@ def test_mask_edm_marks_entries_unobserved():
     adj[1, 2] = adj[2, 1] = False
     masked = mask_edm(edm, AdjacencyMask(adj))
     assert not masked.is_complete
-    assert masked.observed.missing_pairs() == [(1, 2)]
+    rows, cols = masked.observed.missing_indices()
+    assert list(zip(rows.tolist(), cols.tolist())) == [(1, 2)]
     # values are kept intact underneath the mask, never zeroed
     assert np.array_equal(masked.entries, edm.entries)
 
@@ -378,7 +375,7 @@ def test_mask_edm_missing_pair_count(rng):
     layout = NodeLayout(rng.uniform(0, 5, size=(2, 6)))
     mask = random_completable_mask(6, 0.8, rng)
     masked = mask_edm(edm_from_points(layout), mask)
-    assert len(masked.observed.missing_pairs()) == 3
+    assert masked.observed.missing_indices()[0].size == 3
 
 
 def test_missing_indices_match_missing_pairs_row_major(rng):
@@ -390,7 +387,6 @@ def test_missing_indices_match_missing_pairs_row_major(rng):
         ]
         rows, cols = mask.missing_indices()
         assert list(zip(rows.tolist(), cols.tolist())) == expected
-        assert mask.missing_pairs() == expected
 
 
 def test_filled_writes_missing_pairs_of_one_matrix_or_a_stack(rng):

@@ -28,7 +28,6 @@ from arrayloc.harness import (
     TrialRecord,
     draw_layout,
     load_config,
-    run_and_write,
     run_experiment,
     summarize,
     write_outputs,
@@ -362,7 +361,7 @@ def test_summarize_rejects_nothing_gracefully():
 
 def test_outputs_on_disk(tmp_path):
     cfg = _tiny_config(connectivities=[0.8], trials=2, noiseless=False)
-    paths = run_and_write(cfg, tmp_path / "out")
+    paths = write_outputs(cfg, run_experiment(cfg), tmp_path / "out")
     records = (tmp_path / "out" / "records.csv").read_text().splitlines()
     assert records[0] == (
         "trial_id,n_nodes,connectivity,bandwidth_hz,trial_seed,final_cost,"
@@ -417,7 +416,7 @@ def test_evm_replay_ends_at_the_final_layout(tmp_path):
     cfg = _tiny_config(
         array_sizes=[6, 8], connectivities=[0.8, 1.0], trials=3, noiseless=False
     )
-    run_and_write(cfg, tmp_path / "out")
+    write_outputs(cfg, run_experiment(cfg), tmp_path / "out")
     with open(tmp_path / "out" / "convergence.csv", newline="") as fh:
         last = {row["trial_id"]: row["evm_m"] for row in csv.DictReader(fh)}
     with open(tmp_path / "out" / "records.csv", newline="") as fh:
@@ -429,7 +428,8 @@ def test_evm_replay_ends_at_the_final_layout(tmp_path):
 
 def test_wall_time_not_serialized(tmp_path):
     # timings vary run to run, so they stay out of the deterministic CSVs
-    run_and_write(_tiny_config(), tmp_path / "out")
+    cfg = _tiny_config()
+    write_outputs(cfg, run_experiment(cfg), tmp_path / "out")
     header = (tmp_path / "out" / "records.csv").read_text().splitlines()[0]
     assert "wall_time" not in header
 

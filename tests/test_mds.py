@@ -22,9 +22,9 @@ from arrayloc.solver import _geodesic_upper_bounds
 
 
 def test_gram_two_node_hand_value():
-    # -1/2 (I - 1 s^T) D (I - s 1^T) with D = [[0,9],[9,0]], s = (1/2, 1/2)
+    # -1/2 J D J with D = [[0,9],[9,0]], J = I - 11^T / 2
     edm = Edm(np.array([[0.0, 9.0], [9.0, 0.0]]))
-    gram = gram_from_edm(edm, s=np.array([0.5, 0.5]))
+    gram = gram_from_edm(edm)
     assert np.allclose(gram, np.array([[2.25, -2.25], [-2.25, 2.25]]), atol=1e-12)
 
 
@@ -57,14 +57,6 @@ def test_gram_requires_complete_matrix(rng):
     adj[0, 4] = adj[4, 0] = False
     with pytest.raises(ValueError):
         gram_from_edm(mask_edm(edm, AdjacencyMask(adj)))
-
-
-def test_gram_centering_vector_must_sum_to_one():
-    edm = Edm(np.array([[0.0, 9.0], [9.0, 0.0]]))
-    with pytest.raises(ValueError):
-        gram_from_edm(edm, s=np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        gram_from_edm(edm, s=np.array([1.0, 0.0, 0.0]))
 
 
 def test_leading_eigenpairs_by_magnitude(rng):

@@ -17,9 +17,10 @@ from arrayloc.ranging import (
     apparent_tof,
     build_qls_lut,
     crlb_sigma_d,
+    _correlate,
+    _parabola_vertex,
+    _receive,
     make_scenario,
-    matched_filter,
-    qls_refine,
     sample_edm_statistical,
     simulate_exchange,
     synth_two_tone,
@@ -146,19 +147,24 @@ def test_crlb_rejects_non_positive_arguments():
 # ---------------------------------------------------------------------------
 
 
+def _matched_filter(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """The receive core's correlation of one window."""
+    return _correlate(rx[None], tx)[0]
+
+
 def test_matched_filter_integer_delay(wave40):
     tx = wave40.samples
     rx = np.concatenate([np.zeros(7, dtype=complex), tx, np.zeros(5, dtype=complex)])
-    corr = matched_filter(rx, tx)
+    corr = _matched_filter(rx, tx)
     assert int(np.argmax(np.abs(corr))) == 7
 
 
 def test_matched_filter_noise_floor(wave40, rng):
     tx = wave40.samples
     rx = np.concatenate([np.zeros(7, dtype=complex), tx, np.zeros(5, dtype=complex)])
-    matched_peak = np.abs(matched_filter(rx, tx)).max()
+    matched_peak = np.abs(_matched_filter(rx, tx)).max()
     noise = rng.standard_normal(rx.size) + 1j * rng.standard_normal(rx.size)
-    noise_peak = np.abs(matched_filter(noise, tx)).max()
+    noise_peak = np.abs(_matched_filter(noise, tx)).max()
     assert noise_peak < 0.2 * matched_peak
 
 
@@ -169,30 +175,21 @@ def test_matched_filter_fractional_delay_at_34db(wave40, rng):
     out_len = tx.size + 20
     rx = _frac_delay(tx, 7.3, out_len)
     rx = rx + sigma * (rng.standard_normal(out_len) + 1j * rng.standard_normal(out_len))
-    peak = int(np.argmax(np.abs(matched_filter(rx, tx))))
+    peak = int(np.argmax(np.abs(_matched_filter(rx, tx))))
     assert peak in (7, 8)
 
 
-def test_matched_filter_input_validation(wave40):
-    with pytest.raises(ValueError):
-        matched_filter(np.zeros(0), wave40.samples)
-    with pytest.raises(ValueError):
-        matched_filter(wave40.samples, np.zeros(0))
-    with pytest.raises(ValueError):
-        matched_filter(wave40.samples[:10], wave40.samples)
-
-
 def test_qls_symmetric_neighbourhood_gives_zero_offset():
-    corr = np.array([0.2, 0.5, 1.0, 0.5, 0.2])
-    assert qls_refine(corr, 2) == pytest.approx(2.0, abs=1e-15)
+    mag = np.array([[0.2, 0.5, 1.0, 0.5, 0.2]])
+    assert 2 + _parabola_vertex(mag, np.array([2]))[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_qls_peak_on_boundary_rejected():
-    corr = np.array([1.0, 0.5, 0.2])
+    mag = np.array([[1.0, 0.5, 0.2]])
     with pytest.raises(ValueError):
-        qls_refine(corr, 0)
+        _parabola_vertex(mag, np.array([0]))
     with pytest.raises(ValueError):
-        qls_refine(corr, 2)
+        _parabola_vertex(mag, np.array([2]))
 
 
 def test_lut_correction_vanishes_at_zero(lut40):
@@ -206,12 +203,6 @@ def test_lut_antisymmetry(lut40):
         assert abs(lut40.correction_at(f) + lut40.correction_at(-f)) <= 0.05 * scale + 1e-9
 
 
-def test_lut_oversampling_ratio(wave40, lut40):
-    assert lut40.oversampling_ratio == pytest.approx(
-        wave40.sample_rate_hz / wave40.bandwidth_hz
-    )
-
-
 def test_lut_grid_too_coarse_rejected(wave40):
     with pytest.raises(ValueError):
         build_qls_lut(wave40, grid_points=4)
@@ -221,14 +212,10 @@ def test_lut_removes_interpolation_bias(wave40, lut40):
     # held-out fractional delays, offset from the 64-point calibration grid
     tx = wave40.samples
     base = 16
-    out_len = tx.size + 2 * base
-    raw_errs, lut_errs = [], []
-    for frac in np.linspace(-0.47, 0.47, 41):
-        true_delay = base + frac
-        corr = matched_filter(_frac_delay(tx, true_delay, out_len), tx)
-        peak = int(np.argmax(np.abs(corr)))
-        raw_errs.append(qls_refine(corr, peak) - true_delay)
-        lut_errs.append(qls_refine(corr, peak, lut40) - true_delay)
+    true_delays = base + np.linspace(-0.47, 0.47, 41)
+    peak, vertex = _receive(tx, true_delays, tx.size + 2 * base)
+    raw_errs = peak + vertex - true_delays
+    lut_errs = peak + vertex + lut40.correction_at(vertex) - true_delays
     raw_max = np.abs(raw_errs).max()
     lut_max = np.abs(lut_errs).max()
     assert lut_max < 0.01  # samples
@@ -250,16 +237,15 @@ def test_qls_delay_std_tracks_the_bound(wave40, lut40, rng):
         / SPEED_OF_LIGHT
         * wave40.sample_rate_hz
     )
-    errors = np.empty(1000)
-    for k in range(errors.size):
-        true_delay = base + rng.uniform(-0.5, 0.5)
-        rx = _frac_delay(tx, true_delay, out_len)
-        rx = rx + noise_sigma * (
+    true_delays = np.empty(1000)
+    noise = np.empty((true_delays.size, out_len), dtype=complex)
+    for k in range(true_delays.size):
+        true_delays[k] = base + rng.uniform(-0.5, 0.5)
+        noise[k] = noise_sigma * (
             rng.standard_normal(out_len) + 1j * rng.standard_normal(out_len)
         )
-        corr = matched_filter(rx, tx)
-        peak = int(np.argmax(np.abs(corr)))
-        errors[k] = qls_refine(corr, peak, lut40) - true_delay
+    peak, vertex = _receive(tx, true_delays, out_len, noise)
+    errors = peak + vertex + lut40.correction_at(vertex) - true_delays
     std = errors.std(ddof=1)
     assert 0.5 * bound_samples <= std <= 2.0 * bound_samples
 
@@ -382,7 +368,15 @@ def test_scenario_validates_shapes(wave40):
     with pytest.raises(ValueError):
         make_scenario(_two_node_layout(1.0), wave40, clock_offsets_s=np.zeros(3))
     with pytest.raises(ValueError):
+        make_scenario(_two_node_layout(1.0), wave40, clock_offsets_s=np.zeros(1))
+    with pytest.raises(ValueError):
         make_scenario(_two_node_layout(1.0), wave40, hardware_delay_s=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scenario_rejects_non_finite_clock_offsets(wave40, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_scenario(_two_node_layout(1.0), wave40, clock_offsets_s=[0.0, bad])
 
 
 def test_signal_vs_statistical_bandwidth_law(wave40, rng):
@@ -449,17 +443,16 @@ def _oracle_receive_leg(scenario, sender, receiver, t_tx_local, tof_s, rng):
     waveform = scenario.waveform
     if waveform.bandwidth_hz not in _ORACLE_LUTS:
         _ORACLE_LUTS[waveform.bandwidth_hz] = _oracle_lut(waveform)
-    clocks = scenario.clocks
     fs = waveform.sample_rate_hz
     tx = waveform.samples
-    t_tx_true = t_tx_local - clocks.offsets_s[sender]
+    t_tx_true = t_tx_local - scenario.clock_offsets_s[sender]
     t_arrival_true = (
         t_tx_true + tof_s + scenario.hardware_delay_s[sender, receiver]
     )
-    t_arrival_local = t_arrival_true + clocks.offsets_s[receiver]
-    start_idx = math.floor(t_arrival_local * fs) - scenario.window_margin
+    t_arrival_local = t_arrival_true + scenario.clock_offsets_s[receiver]
+    start_idx = math.floor(t_arrival_local * fs) - 8  # capture margin, samples
     delay_samples = t_arrival_local * fs - start_idx
-    out_len = tx.size + scenario.window_margin + 24
+    out_len = tx.size + 8 + 24
     rx = _frac_delay(tx, delay_samples, out_len)
     if scenario.link_snrs is not None:
         snr = scenario.link_snrs[sender, receiver]
@@ -471,7 +464,7 @@ def _oracle_receive_leg(scenario, sender, receiver, t_tx_local, tof_s, rng):
     peak, vertex = _oracle_peak(rx, tx)
     correction = float(np.interp(vertex, *_ORACLE_LUTS[waveform.bandwidth_hz]))
     est_delay = float(peak + vertex + correction)
-    t_rx_local = (start_idx + est_delay) * clocks.tick_s
+    t_rx_local = (start_idx + est_delay) * (1.0 / fs)  # one tick per sample
     t_rx_local -= scenario.calibration_s[sender, receiver]
     return t_rx_local
 
@@ -479,10 +472,10 @@ def _oracle_receive_leg(scenario, sender, receiver, t_tx_local, tof_s, rng):
 def _oracle_exchange(scenario, i, j, rng):
     x = scenario.layout.coords
     tof = float(np.linalg.norm(x[:, i] - x[:, j])) / SPEED_OF_LIGHT
-    tick = scenario.clocks.tick_s
+    tick = 1.0 / scenario.waveform.sample_rate_hz
     t_tx_i = int(rng.integers(0, 200_000)) * tick
     rx_j = _oracle_receive_leg(scenario, i, j, t_tx_i, tof, rng)
-    t_tx_j = math.ceil((rx_j + scenario.turnaround_s) / tick) * tick
+    t_tx_j = math.ceil((rx_j + 50e-6) / tick) * tick  # 50 us turnaround
     rx_i = _oracle_receive_leg(scenario, j, i, t_tx_j, tof, rng)
     return TimestampQuad(tx_i_s=t_tx_i, rx_j_s=rx_j, tx_j_s=t_tx_j, rx_i_s=rx_i)
 
@@ -629,7 +622,7 @@ def test_matched_filter_matches_scipy_correlate(wave40, rng):
     rx = _frac_delay(tx, 9.3, tx.size + 32)
     rx = rx + 0.1 * (rng.standard_normal(rx.size) + 1j * rng.standard_normal(rx.size))
     want = sp_signal.correlate(rx, tx, mode="valid", method="fft")
-    assert np.array_equal(matched_filter(rx, tx), want)
+    assert np.array_equal(_matched_filter(rx, tx), want)
 
 
 def test_a_moved_scenario_exchanges_like_a_fresh_one(wave40):
@@ -761,7 +754,8 @@ def test_statistical_respects_mask(wave40, rng):
     sampled = sample_edm_statistical(layout, mask, db_to_linear(34.0), wave40, rng)
     assert sampled.entries[0, 4] == 0.0
     assert not sampled.is_complete
-    assert sampled.observed.missing_pairs() == [(0, 4)]
+    rows, cols = sampled.observed.missing_indices()
+    assert list(zip(rows.tolist(), cols.tolist())) == [(0, 4)]
 
 
 def test_statistical_bandwidth_law_is_exact(wave40):

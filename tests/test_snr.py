@@ -3,17 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from arrayloc.geometry import NodeLayout, edm_from_points
+from arrayloc.geometry import AdjacencyMask, Edm, NodeLayout, edm_from_points, mask_edm
 from arrayloc.snr import (
-    LinkSnrModel,
     SampleMatrix,
     blind_snr_estimate,
     db_to_linear,
-    harmonic_mean_snr,
     linear_to_db,
-    link_snr,
     link_snr_matrix,
-    model_from_edm,
     read_sample_matrix_csv,
     write_sample_matrix_csv,
 )
@@ -39,42 +35,59 @@ def test_db_conversions():
         linear_to_db(0.0)
 
 
+def _line_edm(*xs: float) -> Edm:
+    """Squared distances of nodes at positions ``xs`` (m) along a line."""
+    return edm_from_points(NodeLayout(np.array([xs, [0.0] * len(xs)])))
+
+
 def test_link_snr_identity_at_characteristic_distance():
-    model = LinkSnrModel(snr_h=100.0, mean_sq_distance=4.0)
-    assert link_snr(model, 2.0) == pytest.approx(100.0, rel=1e-14)
+    # two nodes 2 m apart: the one link sits at dbar^2 = 4 m^2
+    snrs = link_snr_matrix(_line_edm(0.0, 2.0), 100.0)
+    assert snrs[0, 1] == pytest.approx(100.0, rel=1e-14)
+    assert np.isinf(snrs[0, 0]) and np.isinf(snrs[1, 1])
 
 
 def test_link_snr_inverse_square():
-    model = LinkSnrModel(snr_h=100.0, mean_sq_distance=4.0)
-    assert link_snr(model, 1.0) == pytest.approx(4.0 * link_snr(model, 2.0), rel=1e-14)
+    # nodes at 0, 1 and 2 m: a 1 m link gets four times a 2 m link's SNR
+    snrs = link_snr_matrix(_line_edm(0.0, 1.0, 2.0), 100.0)
+    assert snrs[0, 1] == pytest.approx(4.0 * snrs[0, 2], rel=1e-14)
 
 
 def test_link_snr_hand_value_in_db():
-    # snr_h 34 dB, dbar^2 = 4 m^2, d = 1 m: 34 dB + 10 log10(4) = 40.02 dB
-    model = LinkSnrModel(snr_h=db_to_linear(34.0), mean_sq_distance=4.0)
-    assert linear_to_db(link_snr(model, 1.0)) == pytest.approx(40.0206, abs=1e-3)
+    # snr_h 34 dB, dbar^2 = (1 + 5.5 + 5.5) / 3 = 4 m^2, d = 1 m:
+    # 34 dB + 10 log10(4) = 40.02 dB
+    edm = Edm(np.array([[0.0, 1.0, 5.5], [1.0, 0.0, 5.5], [5.5, 5.5, 0.0]]))
+    snrs = link_snr_matrix(edm, db_to_linear(34.0))
+    assert linear_to_db(snrs[0, 1]) == pytest.approx(40.0206, abs=1e-3)
 
 
 def test_link_snr_rejects_zero_distance():
-    model = LinkSnrModel(snr_h=1.0, mean_sq_distance=1.0)
-    with pytest.raises(ValueError):
-        link_snr(model, 0.0)
+    # coincident nodes leave no mean squared distance to anchor the model
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="mean squared distance"):
+            link_snr_matrix(Edm(np.zeros((n, n))), 1.0)
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        LinkSnrModel(snr_h=0.0, mean_sq_distance=1.0)
-    with pytest.raises(ValueError):
-        LinkSnrModel(snr_h=1.0, mean_sq_distance=-1.0)
+    edm = _line_edm(0.0, 1.0, 2.0)
+    for snr_h in (0.0, -1.0):
+        with pytest.raises(ValueError, match="harmonic-mean SNR"):
+            link_snr_matrix(edm, snr_h)
+    adj = ~np.eye(3, dtype=bool)
+    adj[0, 2] = adj[2, 0] = False
+    with pytest.raises(ValueError, match="full distance matrix"):
+        link_snr_matrix(mask_edm(edm, AdjacencyMask(adj)), 1.0)
+    with pytest.raises(ValueError, match="two nodes"):
+        link_snr_matrix(_line_edm(0.0), 1.0)
 
 
 def test_harmonic_mean_hand_values():
-    assert harmonic_mean_snr(np.array([2.0, 2.0])) == pytest.approx(2.0)
-    assert harmonic_mean_snr(np.array([1.0, 3.0])) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        harmonic_mean_snr(np.array([]))
-    with pytest.raises(ValueError):
-        harmonic_mean_snr(np.array([1.0, 0.0]))
+    # unit right isosceles triangle: d^2 = 1, 1, 2 and dbar^2 = 4/3, so
+    # snr_h = 10 gives 40/3, 40/3 and 20/3, whose harmonic mean is 10
+    edm = edm_from_points(NodeLayout(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])))
+    snrs = link_snr_matrix(edm, 10.0)[np.triu_indices(3, 1)]
+    assert snrs == pytest.approx([40.0 / 3, 40.0 / 3, 20.0 / 3], rel=1e-14)
+    assert snrs.size / np.sum(1.0 / snrs) == pytest.approx(10.0, rel=1e-14)
 
 
 def test_harmonic_mean_closure_over_any_layout(rng):
@@ -84,18 +97,19 @@ def test_harmonic_mean_closure_over_any_layout(rng):
         n = int(rng.integers(3, 12))
         edm = edm_from_points(NodeLayout(rng.uniform(-4, 4, size=(2, n))))
         snrs = link_snr_matrix(edm, snr_h=db_to_linear(34.0))
-        iu = np.triu_indices(n, 1)
-        assert harmonic_mean_snr(snrs[iu]) == pytest.approx(
+        links = snrs[np.triu_indices(n, 1)]
+        assert links.size / np.sum(1.0 / links) == pytest.approx(
             db_to_linear(34.0), rel=1e-12
         )
 
 
 def test_model_from_edm_mean_square_distance(rng):
+    # every link's SNR times its squared distance is snr_h * dbar^2
     layout = NodeLayout(rng.uniform(0, 3, size=(2, 5)))
     edm = edm_from_points(layout)
-    model = model_from_edm(edm, 50.0)
     iu = np.triu_indices(5, 1)
-    assert model.mean_sq_distance == pytest.approx(edm.entries[iu].mean(), rel=1e-14)
+    anchored = link_snr_matrix(edm, 50.0)[iu] * edm.entries[iu] / 50.0
+    assert anchored == pytest.approx(np.full(10, edm.entries[iu].mean()), rel=1e-14)
 
 
 def test_blind_estimate_rank_one_limit(wave40):

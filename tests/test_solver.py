@@ -14,7 +14,8 @@ from arrayloc.geometry import (
     NodeLayout,
     edm_from_points,
     mask_edm,
-    min_connectivity,
+    max_edges,
+    min_edges,
     random_completable_mask,
 )
 from arrayloc import mds
@@ -42,7 +43,7 @@ def _masked_problem(rng, n=6, c=0.8, extent=5.0):
 
 def _true_missing_vector(layout, mask):
     full = edm_from_points(layout).entries
-    return np.array([full[i, j] for i, j in mask.missing_pairs()])
+    return full[mask.missing_indices()]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def _noisy_problem(rng, n, c, rows=400):
 )
 def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
     rng = np.random.default_rng(seed)
-    low = min_connectivity(n)
+    low = min_edges(n) / max_edges(n)
     c = {"floor": low, "complete": 1.0}.get(kind, rng.uniform(low, 1.0))
     observed, mask, vectors = _noisy_problem(rng, n, c, rows=8)
     if kind == "asymmetric":
@@ -192,9 +193,7 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
         assert not np.array_equal(observed.entries, observed.entries.T)
     terms = _cost_terms(observed, mask)
     grams = _grams(vectors, terms)
-    want = _double_centre(
-        mask.filled(observed.entries, vectors), np.full(n, 1.0 / n)
-    )
+    want = _double_centre(mask.filled(observed.entries, vectors))
     scale = np.sqrt(np.sum(want**2, axis=(1, 2)))
     assert np.all(np.abs(grams - want).max(axis=(1, 2)) <= 1e-12 * scale)
     assert np.array_equal(grams, grams.transpose(0, 2, 1))

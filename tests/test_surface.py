@@ -1,0 +1,53 @@
+"""The README's "Library surface" section against what the package exports."""
+
+from __future__ import annotations
+
+import importlib
+import re
+import types
+from pathlib import Path
+
+import arrayloc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _surface() -> dict[str, list[str]]:
+    """Listed names per module, from the README's "Library surface" section."""
+    text = README.read_text()
+    section = text.split("\n## Library surface\n", 1)[1].split("\n## ", 1)[0]
+    surface: dict[str, list[str]] = {}
+    module = None
+    for line in section.splitlines():
+        heading = re.match(r"### `(arrayloc(?:\.\w+)?)`$", line)
+        if heading:
+            module = heading.group(1)
+            surface[module] = []
+        name = re.match(r"- `(\w+)` — ", line)
+        if name:
+            assert module is not None, f"name listed before any module: {line}"
+            surface[module].append(name.group(1))
+    return surface
+
+
+def _exports() -> set[str]:
+    return {
+        name
+        for name, value in vars(arrayloc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
+def test_every_listed_name_imports():
+    surface = _surface()
+    assert surface
+    for module, names in surface.items():
+        assert names, f"{module} lists no names"
+        imported = importlib.import_module(module)
+        for name in names:
+            assert hasattr(imported, name), f"{module}.{name} is listed but missing"
+
+
+def test_every_export_is_listed():
+    listed = {name for names in _surface().values() for name in names}
+    assert _exports() - listed == set()
