@@ -74,6 +74,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_crlb(args: argparse.Namespace) -> int:
+    if not np.isfinite(args.snr_db):
+        raise ValueError("--snr-db must be finite")
     sigma = crlb_sigma_d(
         args.bandwidth, args.pulse, db_to_linear(args.snr_db), args.fs
     )

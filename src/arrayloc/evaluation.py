@@ -55,6 +55,6 @@ def max_beamform_freq(sigma_d: float) -> float:
     Element positions must be known to better than 1/15 of a wavelength, so
     f_max = c / (15 * sigma_d).
     """
-    if sigma_d <= 0:
+    if not sigma_d > 0:  # NaN too
         raise ValueError("position error must be positive")
     return SPEED_OF_LIGHT / (15.0 * sigma_d)

@@ -34,6 +34,7 @@ from .geometry import (
 )
 from .mds import batched_mds
 from .ranging import (
+    DEFAULT_RISE_FALL_S,
     check_waveform,
     make_scenario,
     sample_edm_statistical,
@@ -119,7 +120,7 @@ class ExperimentConfig:
     snr_h_db: float = 34.0
     pulse_s: float = 10e-6
     sample_rate_hz: float = 200e6
-    rise_fall_s: float = 50e-9
+    rise_fall_s: float = DEFAULT_RISE_FALL_S
     ranging_mode: str = "statistical"
     noiseless: bool = False
     dim: int = 2
@@ -240,7 +241,7 @@ def _trial_streams(master_seed: int, counter: int) -> list[np.random.Generator]:
 def _signal_level_edm(
     layout: NodeLayout,
     mask: AdjacencyMask,
-    snr_h_linear: float | None,
+    snr_h_linear: float,
     waveform,
     rng: np.random.Generator,
 ) -> Edm:
@@ -328,8 +329,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                 for t in range(cfg.trials):
                     tasks.append(_TrialTask(trial_id, t, n, c, b, cfg))
                     trial_id += 1
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # The pool starts all its workers at the first submit, so it gets no
+    # more of them than there are trials.
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, tasks, chunksize=4))
     else:
         records = [_run_trial(task) for task in tasks]

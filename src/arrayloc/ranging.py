@@ -126,8 +126,9 @@ def crlb_sigma_d(bandwidth_hz, pulse_s, snr_linear, sample_rate_hz):
     tau = np.asarray(pulse_s, dtype=float)
     snr = np.asarray(snr_linear, dtype=float)
     fs = np.asarray(sample_rate_hz, dtype=float)
-    if np.any(b <= 0) or np.any(tau <= 0) or np.any(snr <= 0) or np.any(fs <= 0):
-        raise ValueError("all bound arguments must be positive")
+    positive = all(np.all(x > 0) for x in (b, tau, snr, fs))  # False on NaN
+    if not positive or not all(np.all(np.isfinite(x)) for x in (b, tau, fs)):
+        raise ValueError("bound arguments must be positive, and finite but for SNR")
     out = SPEED_OF_LIGHT / np.sqrt(2.0 * (np.pi * b) ** 2 * tau * snr * fs)
     if out.ndim == 0:
         return float(out)
@@ -201,9 +202,11 @@ class QlsLut:
 
 
 _LUT_CACHE: dict[tuple, QlsLut] = {}
+# Fractional delays on the bias table's calibration grid.
+LUT_GRID_POINTS = 64
 
 
-def build_qls_lut(waveform: TwoToneWaveform, grid_points: int = 64) -> QlsLut:
+def build_qls_lut(waveform: TwoToneWaveform) -> QlsLut:
     """Calibrate the peak-interpolation bias over one fractional-sample bin.
 
     Simulates a noiseless reception at each fractional delay on a symmetric
@@ -213,21 +216,18 @@ def build_qls_lut(waveform: TwoToneWaveform, grid_points: int = 64) -> QlsLut:
     """
     if waveform.bandwidth_hz <= 0:
         raise ValueError("bias calibration needs a nonzero tone separation")
-    if grid_points < 8:
-        raise ValueError("grid too coarse for a useful bias table")
     key = (
         waveform.bandwidth_hz,
         waveform.pulse_s,
         waveform.sample_rate_hz,
         waveform.rise_fall_s,
-        grid_points,
     )
     cached = _LUT_CACHE.get(key)
     if cached is not None:
         return cached
     tx = waveform.samples
     base = 16
-    fracs = -0.5 + (np.arange(grid_points) + 0.5) / grid_points
+    fracs = -0.5 + (np.arange(LUT_GRID_POINTS) + 0.5) / LUT_GRID_POINTS
     peak, vertex = _receive(tx, base + fracs, tx.size + 2 * base)
     raw = (peak - base) + vertex
     corrections = (base + fracs) - (peak + vertex)
@@ -266,7 +266,7 @@ def apparent_tof(t_tx_s: float, t_rx_s: float) -> float:
 def two_way_tof(quad: TimestampQuad) -> float:
     """Average of the two apparent flight times; constant offsets cancel."""
     return 0.5 * (
-        (quad.rx_j_s - quad.tx_i_s) + (quad.rx_i_s - quad.tx_j_s)
+        apparent_tof(quad.tx_i_s, quad.rx_j_s) + apparent_tof(quad.tx_j_s, quad.rx_i_s)
     )
 
 
@@ -282,8 +282,6 @@ class RangingScenario:
     clock_offsets_s: np.ndarray  # per-node constant bias
     waveform: TwoToneWaveform
     link_snrs: np.ndarray | None = None  # (N, N) linear SNR; None = noiseless
-    hardware_delay_s: np.ndarray | None = None  # (N, N) static path delays
-    calibration_s: np.ndarray | None = None  # (N, N) known delay corrections
     mask: AdjacencyMask | None = None
     lut: QlsLut = field(init=False)
 
@@ -295,14 +293,8 @@ class RangingScenario:
         if offsets.size != n:
             raise ValueError("clock offset count must match node count")
         self.clock_offsets_s = offsets
-        if self.hardware_delay_s is None:
-            self.hardware_delay_s = np.zeros((n, n))
-        if self.calibration_s is None:
-            self.calibration_s = np.zeros((n, n))
-        for name in ("link_snrs", "hardware_delay_s", "calibration_s"):
-            arr = getattr(self, name)
-            if arr is not None and np.shape(arr) != (n, n):
-                raise ValueError(f"{name} must be an ({n}, {n}) matrix")
+        if self.link_snrs is not None and np.shape(self.link_snrs) != (n, n):
+            raise ValueError(f"link_snrs must be an ({n}, {n}) matrix")
         if self.mask is not None and self.mask.count != n:
             raise ValueError("mask size must match node count")
         self.lut = build_qls_lut(self.waveform)
@@ -318,8 +310,6 @@ def make_scenario(
     waveform: TwoToneWaveform,
     snr_h_linear: float | None = None,
     clock_offsets_s: np.ndarray | None = None,
-    hardware_delay_s: np.ndarray | None = None,
-    calibration_s: np.ndarray | None = None,
     mask: AdjacencyMask | None = None,
 ) -> RangingScenario:
     """Assemble a scenario, deriving per-link SNRs from the harmonic-mean model."""
@@ -332,8 +322,6 @@ def make_scenario(
         clock_offsets_s=offsets,
         waveform=waveform,
         link_snrs=link_snrs,
-        hardware_delay_s=hardware_delay_s,
-        calibration_s=calibration_s,
         mask=mask,
     )
 
@@ -343,10 +331,7 @@ def _receive_legs(scenario, senders, receivers, t_tx_local, tof_s, noise):
     offsets = scenario.clock_offsets_s
     fs = scenario.waveform.sample_rate_hz
     t_tx_true = t_tx_local - offsets[senders]
-    t_arrival_true = (
-        t_tx_true + tof_s + scenario.hardware_delay_s[senders, receivers]
-    )
-    t_arrival_local = t_arrival_true + offsets[receivers]
+    t_arrival_local = (t_tx_true + tof_s) + offsets[receivers]
     # Capture opens a few ticks ahead of the expected arrival, on the
     # receiver's own clock grid (coarse alignment is assumed solved).
     start_idx = np.floor(t_arrival_local * fs).astype(int) - WINDOW_MARGIN
@@ -354,8 +339,7 @@ def _receive_legs(scenario, senders, receivers, t_tx_local, tof_s, noise):
     tx = scenario.waveform.samples
     peak, vertex = _receive(tx, delay, scenario.window_len, noise)
     est_delay = peak + vertex + scenario.lut.correction_at(vertex)
-    t_rx_local = (start_idx + est_delay) * (1.0 / fs)
-    return t_rx_local - scenario.calibration_s[senders, receivers]
+    return (start_idx + est_delay) * (1.0 / fs)
 
 
 def simulate_exchange(

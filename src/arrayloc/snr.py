@@ -60,6 +60,8 @@ class SampleMatrix:
             raise ValueError("sample matrix must be 2-D (samples x windows)")
         if windows.shape[1] < 2:
             raise ValueError("need at least two capture windows")
+        if not np.all(np.isfinite(windows)):
+            raise ValueError("samples must be finite")
         self.windows = windows
 
 

@@ -205,12 +205,11 @@ def complete_and_localize(
     terms = _cost_terms(observed, mask)
     n_vars = pair_idx[0].size
 
-    lower = np.zeros(n_vars)
     upper = np.maximum(_geodesic_upper_bounds(observed, mask, pair_idx), 1e-12)
 
     pop_size = config.population_size
     n_parents = min(pop_size, max(4, round(config.parent_fraction * pop_size)))
-    population = lower + (upper - lower) * rng.random((pop_size, n_vars))
+    population = upper * rng.random((pop_size, n_vars))
     costs = _batched_costs(population, terms, m)
 
     best_idx = int(np.argmin(costs))
@@ -241,14 +240,12 @@ def complete_and_localize(
         # Out-of-bounds coordinates restart halfway between the target and
         # the violated bound.  Hard clipping would pile many individuals
         # onto identical boundary values and bleed diversity.
-        children = np.where(children < lower, 0.5 * (target_vecs + lower), children)
+        children = np.where(children < 0.0, 0.5 * target_vecs, children)
         children = np.where(children > upper, 0.5 * (target_vecs + upper), children)
         # The culled share of the population immigrates uniformly at random.
         # No draw depends on a cost, so children and immigrants are scored
         # in one batch.
-        immigrants = lower + (upper - lower) * rng.random(
-            (pop_size - n_parents, n_vars)
-        )
+        immigrants = upper * rng.random((pop_size - n_parents, n_vars))
         scored = _batched_costs(np.vstack([children, immigrants]), terms, m)
         child_costs, immigrant_costs = scored[:n_kids], scored[n_kids:]
         # Rank selection over parents and children together.  The incumbent

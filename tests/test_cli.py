@@ -250,9 +250,21 @@ def test_mds_stdout_is_the_out_file(tmp_path, capsys):
 
 
 def test_crlb_subcommand_rejects_bad_arguments(capsys):
-    code = main(["crlb", "--bandwidth=-40e6", "--snr-db", "34"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    for bad in (
+        ["--bandwidth=-40e6", "--snr-db", "34"],
+        ["--bandwidth", "nan", "--snr-db", "34"],
+        ["--bandwidth", "inf", "--snr-db", "34"],
+        ["--bandwidth", "40e6", "--snr-db", "nan"],
+        ["--bandwidth", "40e6", "--snr-db", "inf"],
+        ["--bandwidth", "40e6", "--snr-db", "34", "--pulse", "nan"],
+        ["--bandwidth", "40e6", "--snr-db", "34", "--pulse", "inf"],
+        ["--bandwidth", "40e6", "--snr-db", "34", "--fs", "inf"],
+    ):
+        code = main(["crlb", *bad])
+        captured = capsys.readouterr()
+        assert code == 2, bad
+        assert captured.out == "", bad
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, bad
 
 
 def test_simulate_subcommand_smoke(capsys):
@@ -287,6 +299,17 @@ def test_simulate_rejects_bad_extent(capsys, extent):
     assert "box extent" in captured.err
     assert captured.err.count("\n") == 1
     assert not caught
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_snr_estimate_rejects_non_finite_samples(tmp_path, capsys, bad):
+    samples_path = tmp_path / "windows.csv"
+    samples_path.write_text(f"w0_i,w0_q,w1_i,w1_q\n1,0,1,0\n{bad},0,1,0\n")
+    code = main(["snr-estimate", "--samples", str(samples_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err
 
 
 def test_snr_estimate_subcommand(tmp_path, capsys, wave40):

@@ -316,6 +316,29 @@ def test_parallel_workers_match_serial():
     assert [r.final_evm_m for r in serial] == [r.final_evm_m for r in parallel]
 
 
+def test_pool_gets_no_more_workers_than_trials(monkeypatch):
+    started = []
+
+    class FakePool:  # records the pool size and maps serially; starts nothing
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    assert len(run_experiment(_tiny_config(trials=2, workers=64))) == 2
+    assert started == [2]
+    assert len(run_experiment(_tiny_config(trials=1, workers=64))) == 1
+    assert started == [2]  # one trial runs serially
+
+
 def test_signal_level_smoke_run():
     cfg = ExperimentConfig(
         array_sizes=[5],
