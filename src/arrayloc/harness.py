@@ -14,13 +14,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .evaluation import align_and_evm, max_beamform_freq
+from .evaluation import AlignmentResult, align_and_evm, max_beamform_freq
 from .geometry import (
     AdjacencyMask,
     Edm,
@@ -140,6 +141,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be an object, got {value!r}")
+        if self.solver.seed != 0:
+            raise ValueError(
+                "solver.seed must be 0: the sweep's seed drives every trial stream"
+            )
         for name in ("trials", "dim", "seed", "workers"):
             require_int(name, getattr(self, name))
         if self.seed < 0:
@@ -252,7 +257,6 @@ def _signal_level_edm(
         waveform,
         snr_h_linear=snr_h_linear,
         clock_offsets_s=offsets,
-        mask=mask,
     )
     i, j = np.nonzero(np.triu(mask.mask, 1))  # every link once, row-major
     tof = two_way_tof(simulate_exchange(scenario, i, j, rng))
@@ -262,16 +266,12 @@ def _signal_level_edm(
     return Edm(entries, observed=mask)
 
 
-def _evm_series(
+def _alignments(
     run: SolverRun, observed: Edm, mask: AdjacencyMask, truth: NodeLayout, m: int
-) -> np.ndarray:
+) -> list[AlignmentResult]:
+    """Each generation's best layout aligned onto the truth; the last is the run's."""
     _, coords = batched_mds(mask.filled(observed.entries, run.best_vector_history), m)
-    return np.array(
-        [
-            align_and_evm(NodeLayout(coords[g].T), truth).evm_mean
-            for g in range(coords.shape[0])
-        ]
-    )
+    return [align_and_evm(NodeLayout(c.T), truth) for c in coords]
 
 
 def _run_trial(task: _TrialTask) -> TrialRecord:
@@ -295,8 +295,7 @@ def _run_trial(task: _TrialTask) -> TrialRecord:
     started = time.perf_counter()
     run = complete_and_localize(observed, mask, cfg.dim, cfg.solver, rng_solver)
     wall = time.perf_counter() - started
-    evm = _evm_series(run, observed, mask, layout, cfg.dim)
-    final_alignment = align_and_evm(run.recovered_layout, layout)
+    alignments = _alignments(run, observed, mask, layout, cfg.dim)
     return TrialRecord(
         trial_id=task.trial_id,
         n_nodes=task.n,
@@ -304,10 +303,10 @@ def _run_trial(task: _TrialTask) -> TrialRecord:
         bandwidth_hz=task.b,
         trial_seed=task.counter,
         cost_history=run.best_cost_history,
-        evm_history=evm,
+        evm_history=np.array([a.evm_mean for a in alignments]),
         final_cost=float(run.best_cost_history[-1]),
-        final_evm_m=final_alignment.evm_mean,
-        final_evm_rms_m=final_alignment.evm_rms,
+        final_evm_m=alignments[-1].evm_mean,
+        final_evm_rms_m=alignments[-1].evm_rms,
         generations_used=run.generations_used,
         converged=run.converged,
         wall_time_s=wall,
@@ -321,14 +320,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     sharing an array size also share layouts and noise draws; comparisons
     across connectivity or bandwidth are paired by construction.
     """
-    tasks = []
-    trial_id = 0
-    for n in cfg.array_sizes:
-        for c in cfg.connectivities:
-            for b in cfg.bandwidths_hz:
-                for t in range(cfg.trials):
-                    tasks.append(_TrialTask(trial_id, t, n, c, b, cfg))
-                    trial_id += 1
+    grid = product(
+        cfg.array_sizes, cfg.connectivities, cfg.bandwidths_hz, range(cfg.trials)
+    )
+    tasks = [_TrialTask(k, t, n, c, b, cfg) for k, (n, c, b, t) in enumerate(grid)]
     # The pool starts all its workers at the first submit, so it gets no
     # more of them than there are trials.
     workers = min(cfg.workers, len(tasks))

@@ -28,10 +28,6 @@ from .snr import link_snr_matrix
 DEFAULT_RISE_FALL_S = 50e-9
 
 
-class LinkUnavailableError(ValueError):
-    """Requested node pair has no measurable link."""
-
-
 # ---------------------------------------------------------------------------
 # Waveform
 # ---------------------------------------------------------------------------
@@ -282,7 +278,6 @@ class RangingScenario:
     clock_offsets_s: np.ndarray  # per-node constant bias
     waveform: TwoToneWaveform
     link_snrs: np.ndarray | None = None  # (N, N) linear SNR; None = noiseless
-    mask: AdjacencyMask | None = None
     lut: QlsLut = field(init=False)
 
     def __post_init__(self) -> None:
@@ -295,8 +290,6 @@ class RangingScenario:
         self.clock_offsets_s = offsets
         if self.link_snrs is not None and np.shape(self.link_snrs) != (n, n):
             raise ValueError(f"link_snrs must be an ({n}, {n}) matrix")
-        if self.mask is not None and self.mask.count != n:
-            raise ValueError("mask size must match node count")
         self.lut = build_qls_lut(self.waveform)
 
     @property
@@ -310,7 +303,6 @@ def make_scenario(
     waveform: TwoToneWaveform,
     snr_h_linear: float | None = None,
     clock_offsets_s: np.ndarray | None = None,
-    mask: AdjacencyMask | None = None,
 ) -> RangingScenario:
     """Assemble a scenario, deriving per-link SNRs from the harmonic-mean model."""
     offsets = np.zeros(layout.count) if clock_offsets_s is None else clock_offsets_s
@@ -322,7 +314,6 @@ def make_scenario(
         clock_offsets_s=offsets,
         waveform=waveform,
         link_snrs=link_snrs,
-        mask=mask,
     )
 
 
@@ -365,10 +356,6 @@ def simulate_exchange(
     n = scenario.layout.count
     if np.any((ii == jj) | (ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)):
         raise ValueError("need two distinct valid node indices")
-    linked = scenario.mask is None or scenario.mask.mask[ii, jj]
-    if not np.all(linked):
-        k = np.argmin(linked)
-        raise LinkUnavailableError(f"no measurable link between {ii[k]} and {jj[k]}")
     x, snrs = scenario.layout.coords, scenario.link_snrs
     tick = 1.0 / scenario.waveform.sample_rate_hz
 

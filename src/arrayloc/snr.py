@@ -83,6 +83,8 @@ def blind_snr_estimate(samples: SampleMatrix) -> SnrEstimate:
     n_s, n_win = s.shape
     gram = (s.conj().T @ s) / n_s
     values = np.sort(np.linalg.eigvalsh(gram))[::-1]
+    if values[0] <= 0.0:
+        raise ValueError("capture holds no power")
     noise_power = float(values[1:].mean())
     signal_power = float((values[0] - noise_power) / n_win)
     if noise_power > 0.0:

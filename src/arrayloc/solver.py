@@ -79,7 +79,6 @@ class SolverConfig:
 class SolverRun:
     best_cost_history: np.ndarray  # best-so-far after each generation
     best_vector_history: np.ndarray  # (generations, n_missing)
-    best_vector: np.ndarray
     generations_used: int
     converged: bool
     recovered_layout: NodeLayout
@@ -93,6 +92,13 @@ class _CostTerms:
     rows: np.ndarray  # measured pairs i < j
     cols: np.ndarray
     target: np.ndarray  # (d_ij + d_ji) / 2 at those pairs
+
+
+def _check_masks(observed: Edm, mask: AdjacencyMask) -> None:
+    """Reject a mask that is not the one ``observed`` was measured under."""
+    own = mask if observed.is_complete else observed.observed
+    if observed.count != mask.count or not np.array_equal(own.mask, mask.mask):
+        raise ValueError("mask must match the matrix's size and observation mask")
 
 
 def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
@@ -141,6 +147,7 @@ def evaluate_cost(
     vector: np.ndarray, observed: Edm, mask: AdjacencyMask, m: int
 ) -> float:
     """Score one candidate completion against the observed entries."""
+    _check_masks(observed, mask)
     if not 1 <= m <= observed.count:
         raise ValueError("target dimension must lie in [1, node count]")
     n_missing = mask.missing_indices()[0].size
@@ -183,7 +190,7 @@ def complete_and_localize(
 
     Args:
         observed: squared-distance matrix, valid at masked-true entries.
-        mask: which entries were measured; must be completable.
+        mask: measured entries, as in ``observed``'s own mask; must be completable.
         m: embedding dimension.
         config: DE settings; defaults match the reference setup.
         rng: random source; defaults to a generator seeded by config.seed.
@@ -192,11 +199,10 @@ def complete_and_localize(
         SolverRun with per-generation best-so-far history.  The best cost
         never rises: the incumbent individual survives every generation.
     """
+    _check_masks(observed, mask)
     config = config or SolverConfig()
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if observed.count != mask.count:
-        raise ValueError("mask size must match matrix size")
     if not is_completable(mask, m):
         raise CompletabilityError(
             "observation mask cannot anchor every node in the array"
@@ -213,10 +219,8 @@ def complete_and_localize(
     costs = _batched_costs(population, terms, m)
 
     best_idx = int(np.argmin(costs))
-    best_cost = float(costs[best_idx])
-    best_vector = population[best_idx].copy()
-    cost_history = [best_cost]
-    vector_history = [best_vector.copy()]
+    cost_history = [float(costs[best_idx])]
+    vector_history = [population[best_idx].copy()]
     converged = not n_vars  # a complete mask has nothing left to evolve
 
     n_kids = OFFSPRING_PER_PARENT * n_parents
@@ -248,8 +252,9 @@ def complete_and_localize(
         immigrants = upper * rng.random((pop_size - n_parents, n_vars))
         scored = _batched_costs(np.vstack([children, immigrants]), terms, m)
         child_costs, immigrant_costs = scored[:n_kids], scored[n_kids:]
-        # Rank selection over parents and children together.  The incumbent
-        # best is a parent, so it survives unless a child beats it.
+        # Rank selection over parents and children together.  The best so
+        # far heads the parents, and the stable sort keeps it ahead of any
+        # child that only ties it: survivors[0] is the new best so far.
         pool = np.vstack([parents, children])
         pool_costs = np.concatenate([parent_costs, child_costs])
         keep = np.argsort(pool_costs, kind="stable")[:n_parents]
@@ -257,11 +262,8 @@ def complete_and_localize(
         survivor_costs = pool_costs[keep]
         population = np.vstack([survivors, immigrants])
         costs = np.concatenate([survivor_costs, immigrant_costs])
-        if survivor_costs[0] < best_cost:
-            best_cost = float(survivor_costs[0])
-            best_vector = survivors[0].copy()
-        cost_history.append(best_cost)
-        vector_history.append(best_vector.copy())
+        cost_history.append(float(survivor_costs[0]))
+        vector_history.append(survivors[0].copy())
         g = len(cost_history) - 1
         w = config.convergence_window
         if g >= w:
@@ -273,11 +275,10 @@ def complete_and_localize(
             if mean_drop <= config.convergence_delta * max(ref, 1e-300):
                 converged = True
 
-    layout = classical_mds(Edm(mask.filled(observed.entries, best_vector)), m)
+    layout = classical_mds(Edm(mask.filled(observed.entries, vector_history[-1])), m)
     return SolverRun(
         best_cost_history=np.array(cost_history),
         best_vector_history=np.array(vector_history),
-        best_vector=best_vector,
         generations_used=len(cost_history),
         converged=converged,
         recovered_layout=layout,

@@ -189,11 +189,12 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         {"seed": -1},
         {"rise_fall_s": 5e-6},
         {"pulse_s": -1},
+        {"solver": {"seed": 12345}},
     ],
     ids=[
         "solver-key", "layout-key", "float-trials", "float-population",
         "bool-workers", "nan-bandwidth", "nan-snr", "int-layout", "list-solver",
-        "negative-seed", "long-ramps", "negative-pulse",
+        "negative-seed", "long-ramps", "negative-pulse", "solver-seed",
     ],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):
@@ -310,6 +311,17 @@ def test_snr_estimate_rejects_non_finite_samples(tmp_path, capsys, bad):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
+def test_snr_estimate_rejects_a_capture_without_power(tmp_path, capsys):
+    # a dead receiver is not a noise-free link
+    samples_path = tmp_path / "windows.csv"
+    write_sample_matrix_csv(samples_path, SampleMatrix(np.zeros((16, 2))))
+    code = main(["snr-estimate", "--samples", str(samples_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_snr_estimate_subcommand(tmp_path, capsys, wave40):

@@ -12,7 +12,6 @@ from arrayloc.constants import SPEED_OF_LIGHT
 from arrayloc.geometry import AdjacencyMask, NodeLayout, edm_from_points
 from arrayloc.ranging import (
     _BLOCK_ROWS,
-    LinkUnavailableError,
     RangingScenario,
     TimestampQuad,
     apparent_tof,
@@ -336,15 +335,6 @@ def test_exchange_range_std_within_twice_the_bound(wave40, lut40):
     assert 0.3 * REF_CRLB_SIGMA_M <= std <= 2.0 * REF_CRLB_SIGMA_M
 
 
-def test_exchange_rejects_masked_link(wave40, lut40, rng):
-    adj = np.zeros((4, 4), dtype=bool)
-    adj[0, 1] = adj[1, 0] = True
-    layout = NodeLayout(np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0]]))
-    scenario = make_scenario(layout, wave40, mask=AdjacencyMask(adj))
-    with pytest.raises(LinkUnavailableError):
-        simulate_exchange(scenario, 2, 3, rng)
-
-
 def test_exchange_rejects_bad_node_indices(wave40, lut40, rng):
     scenario = make_scenario(_two_node_layout(1.0), wave40)
     with pytest.raises(ValueError):
@@ -470,8 +460,7 @@ def _oracle_signal_level_edm(layout, mask, snr_h_linear, waveform, rng):
     n = layout.count
     offsets = rng.uniform(-5e-4, 5e-4, size=n)
     scenario = make_scenario(
-        layout, waveform, snr_h_linear=snr_h_linear, clock_offsets_s=offsets,
-        mask=mask,
+        layout, waveform, snr_h_linear=snr_h_linear, clock_offsets_s=offsets
     )
     entries = np.zeros((n, n))
     for i in range(n):
@@ -646,16 +635,11 @@ def test_a_moved_scenario_exchanges_like_a_fresh_one(wave40):
         ((2, 2), ValueError),
         ((0, 4), ValueError),
         ((-1, 2), ValueError),
-        ((2, 3), LinkUnavailableError),
     ],
 )
 def test_exchange_arrays_check_every_pair_before_drawing(wave40, bad, error):
-    adj = ~np.eye(4, dtype=bool)
-    adj[2, 3] = adj[3, 2] = False
     layout = NodeLayout(np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0]]))
-    scenario = make_scenario(
-        layout, wave40, snr_h_linear=db_to_linear(REF_SNR_DB), mask=AdjacencyMask(adj)
-    )
+    scenario = make_scenario(layout, wave40, snr_h_linear=db_to_linear(REF_SNR_DB))
     i = np.array([0, 1, bad[0], 0])
     j = np.array([1, 2, bad[1], 2])
     rng = np.random.default_rng(0)

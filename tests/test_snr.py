@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,7 @@ def test_blind_estimate_rank_one_limit(wave40):
     p_sig = float(np.mean(np.abs(wave40.samples) ** 2))
     assert estimate.signal_power == pytest.approx(p_sig, rel=1e-9)
     assert abs(estimate.noise_power) < 1e-12 * estimate.signal_power
+    assert estimate.snr == math.inf
 
 
 def test_blind_estimate_pure_noise(rng):

@@ -97,12 +97,15 @@ def test_cost_rejects_dimension_outside_node_count(rng, m):
 
 
 def test_cost_matches_the_solver_bit_for_bit(rng):
+    # every generation's best vector scores exactly its recorded best cost
     layout, mask, observed = _masked_problem(rng)
     run = complete_and_localize(
         observed, mask, 2, SolverConfig(max_generations=15), rng
     )
-    cost = evaluate_cost(run.best_vector, observed, mask, 2)
-    assert cost == run.best_cost_history[-1]
+    costs = [
+        evaluate_cost(vector, observed, mask, 2) for vector in run.best_vector_history
+    ]
+    assert costs == run.best_cost_history.tolist()
 
 
 def test_cost_ignores_nan_at_unobserved_entries(rng):
@@ -377,7 +380,7 @@ def test_complete_mask_degenerates_to_plain_mds(rng):
     run = complete_and_localize(observed, mask, 2)
     assert run.converged
     assert run.generations_used == 1
-    assert run.best_vector.size == 0
+    assert run.best_vector_history.shape == (1, 0)
     assert align_and_evm(run.recovered_layout, layout).evm_mean < 1e-9
 
 
@@ -428,7 +431,7 @@ def test_identical_seed_identical_run(rng):
     first = complete_and_localize(observed, mask, 2, config)
     second = complete_and_localize(observed, mask, 2, config)
     assert np.array_equal(first.best_cost_history, second.best_cost_history)
-    assert np.array_equal(first.best_vector, second.best_vector)
+    assert np.array_equal(first.best_vector_history, second.best_vector_history)
     assert np.array_equal(
         first.recovered_layout.coords, second.recovered_layout.coords
     )
@@ -446,10 +449,34 @@ def test_non_completable_mask_rejected(rng):
 
 
 def test_mask_and_matrix_sizes_must_agree(rng):
-    layout = NodeLayout(rng.uniform(0, 5, size=(2, 6)))
-    observed = mask_edm(edm_from_points(layout), AdjacencyMask.complete(6))
-    with pytest.raises(ValueError):
-        complete_and_localize(observed, AdjacencyMask.complete(5), 2)
+    layout, mask, observed = _masked_problem(rng)
+    truth = _true_missing_vector(layout, mask)
+    # NaN where the matrix's own mask has no link, run under another mask
+    poisoned = observed.entries.copy()
+    poisoned[~mask.mask & ~np.eye(6, dtype=bool)] = np.nan
+    other = random_completable_mask(6, 0.8, np.random.default_rng(3))
+    assert not np.array_equal(other.mask, mask.mask)
+    cases = [
+        (observed, AdjacencyMask.complete(5), truth),
+        (Edm(poisoned, observed=mask), AdjacencyMask.complete(6), np.zeros(0)),
+        (observed, other, np.zeros(other.missing_indices()[0].size)),
+    ]
+    for edm, wrong, vector in cases:
+        with pytest.raises(ValueError, match="mask"):
+            complete_and_localize(edm, wrong, 2)
+        with pytest.raises(ValueError, match="mask"):
+            evaluate_cost(vector, edm, wrong, 2)
+    # a fully measured matrix, with no mask of its own or a complete one,
+    # may be run under any mask
+    full = edm_from_points(layout)
+    config = SolverConfig(max_generations=5)
+    want = complete_and_localize(observed, mask, 2, config).best_cost_history
+    for complete in (full, mask_edm(full, AdjacencyMask.complete(6))):
+        assert evaluate_cost(truth, complete, mask, 2) == evaluate_cost(
+            truth, observed, mask, 2
+        )
+        got = complete_and_localize(complete, mask, 2, config).best_cost_history
+        assert np.array_equal(got, want)
 
 
 def test_generations_grow_with_missing_edges(wave40):
