@@ -283,8 +283,12 @@ def read_csv(
     path: str | Path,
     header_ok: Callable[[list[str]], bool] = lambda header: header[0].startswith("n"),
     expected: str = "'n0,n1,...'",
+    cell: Callable[[str], float] = float,
 ) -> np.ndarray:
-    """Float rows under a header that ``header_ok`` accepts; errors name the file."""
+    """Rows of ``cell`` values under a header that ``header_ok`` accepts.
+
+    Errors name the file and the line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         data = []
@@ -295,7 +299,7 @@ def read_csv(
             for row in filter(None, reader):
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells under {len(header)} columns")
-                data.append([float(v) for v in row])
+                data.append([cell(v) for v in row])
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not data:
@@ -327,5 +331,12 @@ def write_mask_csv(path: str | Path, mask: AdjacencyMask) -> None:
     write_csv(path, _node_header(mask.count), mask.mask.astype(float))
 
 
+def _mask_cell(text: str) -> float:
+    value = float(text)
+    if value not in (0.0, 1.0):
+        raise ValueError(f"mask cell {text!r} is not 0 or 1")
+    return value
+
+
 def read_mask_csv(path: str | Path) -> AdjacencyMask:
-    return AdjacencyMask(read_csv(path) != 0.0)
+    return AdjacencyMask(read_csv(path, cell=_mask_cell) == 1.0)

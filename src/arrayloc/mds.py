@@ -127,7 +127,9 @@ def _ritz_pairs(
     return x, values, y, residual
 
 
-def _planar_pairs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _planar_pairs(
+    g: np.ndarray, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``leading_eigenpairs`` for m = 2 and N >= 3: proven rows, else eigh.
 
     Steps on G^8 and G.G, powers of G / ||G||_F so that none overflows, find
@@ -142,8 +144,12 @@ def _planar_pairs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounding, (N^2 + 2N + 4) u (2 + sqrt(N) / 4)^2 theta_1^4 when (b) holds
     and N <= 200.  So each other |lambda_i| is below |lambda_b| / 2.  The
     former test sum(lambda_i^2) <= lambda_2^2 / 4 implies (b).
+
+    The powers of G / ||G||_F are stored in ``scratch``, three (P, N, N)
+    buffers, fresh ones when it is None; nothing returned points into it.
     """
     p, n, _ = g.shape
+    scratch = np.empty((3, p, n, n)) if scratch is None else scratch
     values = np.full((p, 2), np.nan)  # NaN until proven
     vectors = np.empty((p, n, 2))
     k = 2.0 * np.pi * np.arange(n) / n
@@ -153,11 +159,12 @@ def _planar_pairs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         rows, x, sub = np.arange(p), np.broadcast_to(start, (p, 2, n)), g
         norm = np.sqrt(np.einsum("pij,pij->p", g, g))
-        unit = g / norm[:, None, None]  # its powers have norms in [N^-4, 1]
-        square = unit @ unit
+        # G / ||G||_F, whose powers have norms in [N^-4, 1]
+        unit = np.divide(g, norm[:, None, None], out=scratch[0])
+        square = np.matmul(unit, unit, out=scratch[1])
         fourth = np.einsum("pij,pij->p", square, square)
-        quad = square @ square
-        powers = {2: square, 8: quad @ quad}
+        quad = np.matmul(square, square, out=scratch[2])
+        powers = {2: square, 8: np.matmul(quad, quad, out=unit)}  # unit is done
         for stage in _STAGE_POWERS:
             x, lead, y, residual = _ritz_pairs(sub, [powers[e] for e in stage], x)
             scale = lead[:, 0] ** 2
@@ -178,7 +185,7 @@ def _planar_pairs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def leading_eigenpairs(
-    matrices: np.ndarray, m: int
+    matrices: np.ndarray, m: int, scratch: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """m eigenpairs of largest |eigenvalue| per matrix of a symmetric stack.
 
@@ -187,21 +194,25 @@ def leading_eigenpairs(
     answer when it is proven (see ``_planar_pairs``) and a full ``eigh``
     otherwise.  Ties in magnitude go to the lower ``eigh`` index on
     ``eigh`` rows only; on proven rows an exact tie is broken arbitrarily,
-    which leaves the distances of the embedding unchanged.
+    which leaves the distances of the embedding unchanged.  ``scratch``
+    is handed to ``_planar_pairs``.
     """
     if m == 2 and matrices.shape[-1] >= 3:
-        return _planar_pairs(matrices)
+        return _planar_pairs(matrices, scratch)
     return _eigh_pairs(matrices, m)
 
 
-def embed_gram(gram: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def embed_gram(
+    gram: np.ndarray, m: int, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The m-dimensional embedding of each matrix of a (P, N, N) Gram stack.
 
     The stack must be exactly symmetric.  Returns the m leading eigenvalues
     (P, m), unclipped, and the coordinates (P, N, m); a negative eigenvalue
-    gives a zero coordinate.
+    gives a zero coordinate.  A caller that embeds stack after stack passes
+    the same (3, P, N, N) ``scratch`` each time (see ``_planar_pairs``).
     """
-    values, vectors = leading_eigenpairs(gram, m)
+    values, vectors = leading_eigenpairs(gram, m, scratch)
     return values, np.sqrt(np.clip(values, 0.0, None))[:, None, :] * vectors
 
 

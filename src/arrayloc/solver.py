@@ -94,6 +94,35 @@ class _CostTerms:
     target: np.ndarray  # (d_ij + d_ji) / 2 at those pairs
 
 
+@dataclass(frozen=True)
+class _Workspace:
+    """Every per-generation array of ``_batched_costs``, for up to P rows.
+
+    ``complete_and_localize`` allocates one per trial, so no generation
+    faults its working set back in; a batch of p rows uses the leading p
+    rows of each buffer.  Nothing ``_batched_costs`` returns points into it.
+    """
+
+    coeffs: np.ndarray  # (P, 1, K): 1, then a candidate's missing values
+    grams: np.ndarray  # (P, N, N)
+    powers: np.ndarray  # (3, P, N, N), for embed_gram
+    gaps: np.ndarray  # (2, P, m, L) over the L measured pairs
+    residual: np.ndarray  # (P, L)
+
+    @classmethod
+    def allocate(cls, rows: int, terms: _CostTerms, m: int) -> _Workspace:
+        k, n, _ = terms.basis.shape
+        coeffs = np.empty((rows, 1, k))
+        coeffs[:, 0, 0] = 1.0
+        return cls(
+            coeffs=coeffs,
+            grams=np.empty((rows, n, n)),
+            powers=np.empty((3, rows, n, n)),
+            gaps=np.empty((2, rows, m, terms.rows.size)),
+            residual=np.empty((rows, terms.rows.size)),
+        )
+
+
 def _check_masks(observed: Edm, mask: AdjacencyMask) -> None:
     """Reject a mask that is not the one ``observed`` was measured under."""
     own = mask if observed.is_complete else observed.observed
@@ -118,29 +147,41 @@ def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
     )
 
 
-def _grams(vectors: np.ndarray, terms: _CostTerms) -> np.ndarray:
-    """G_0 + sum_k p_k B_k for each candidate row p of ``vectors``."""
+def _grams(vectors: np.ndarray, terms: _CostTerms, work: _Workspace) -> np.ndarray:
+    """G_0 + sum_k p_k B_k for each candidate row p of ``vectors``, in ``work``."""
     p = vectors.shape[0]
     k, n, _ = terms.basis.shape
-    coeffs = np.empty((p, 1, k))
-    coeffs[:, 0, 0] = 1.0
+    coeffs, grams = work.coeffs[:p], work.grams[:p]
     coeffs[:, 0, 1:] = vectors
     # One (1, K) @ (K, N^2) product per row keeps each row's sums in one
     # order whatever the batch size, which a single gemm over the batch
     # does not.  Every basis matrix is exactly symmetric, so entries (i, j)
     # and (j, i) of G are sums of the same numbers, and G comes out exactly
     # symmetric, as the G^8 steps and eigh's one-triangle read require.
-    return (coeffs @ terms.basis.reshape(k, n * n)).reshape(p, n, n)
+    np.matmul(coeffs, terms.basis.reshape(k, n * n), out=grams.reshape(p, 1, n * n))
+    return grams
 
 
-def _batched_costs(vectors: np.ndarray, terms: _CostTerms, m: int) -> np.ndarray:
-    _, coords = embed_gram(_grams(vectors, terms), m)
-    # np.take gathers into C order, (P, m, L); coords[:, rows] would not,
+def _batched_costs(
+    vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None
+) -> np.ndarray:
+    """The cost of each candidate row; ``work`` defaults to fresh buffers."""
+    p = vectors.shape[0]
+    work = _Workspace.allocate(p, terms, m) if work is None else work
+    _, coords = embed_gram(_grams(vectors, terms, work), m, work.powers[:, :p])
+    # np.take gathers each end of the measured pairs into a C-ordered
+    # (P, m, L) block of the workspace; coords[:, rows] would be strided,
     # and a row's sum over a strided gather depends on the batch size.
+    # mode="clip" writes straight into the block ("raise" would buffer),
+    # and every index is in range, so it clips nothing.
     axes = coords.transpose(0, 2, 1)
-    gap = np.take(axes, terms.rows, axis=2) - np.take(axes, terms.cols, axis=2)
-    residual = terms.target - np.sum(gap * gap, axis=1)
-    return np.sum(residual * residual, axis=1)
+    gap, other = work.gaps[:, :p]
+    np.take(axes, terms.rows, axis=2, out=gap, mode="clip")
+    np.take(axes, terms.cols, axis=2, out=other, mode="clip")
+    np.subtract(gap, other, out=gap)
+    residual = np.sum(np.multiply(gap, gap, out=gap), axis=1, out=work.residual[:p])
+    np.subtract(terms.target, residual, out=residual)
+    return np.sum(np.multiply(residual, residual, out=residual), axis=1)
 
 
 def evaluate_cost(
@@ -216,14 +257,17 @@ def complete_and_localize(
     pop_size = config.population_size
     n_parents = min(pop_size, max(4, round(config.parent_fraction * pop_size)))
     population = upper * rng.random((pop_size, n_vars))
-    costs = _batched_costs(population, terms, m)
+    n_kids = OFFSPRING_PER_PARENT * n_parents
+    # A generation scores n_kids + pop_size - n_parents rows, at least the
+    # first population's pop_size.
+    work = _Workspace.allocate(n_kids + pop_size - n_parents, terms, m)
+    costs = _batched_costs(population, terms, m, work)
 
     best_idx = int(np.argmin(costs))
     cost_history = [float(costs[best_idx])]
     vector_history = [population[best_idx].copy()]
     converged = not n_vars  # a complete mask has nothing left to evolve
 
-    n_kids = OFFSPRING_PER_PARENT * n_parents
     targets = np.tile(np.arange(n_parents), OFFSPRING_PER_PARENT)
     while len(cost_history) < config.max_generations and not converged:
         order = np.argsort(costs, kind="stable")
@@ -250,7 +294,7 @@ def complete_and_localize(
         # No draw depends on a cost, so children and immigrants are scored
         # in one batch.
         immigrants = upper * rng.random((pop_size - n_parents, n_vars))
-        scored = _batched_costs(np.vstack([children, immigrants]), terms, m)
+        scored = _batched_costs(np.vstack([children, immigrants]), terms, m, work)
         child_costs, immigrant_costs = scored[:n_kids], scored[n_kids:]
         # Rank selection over parents and children together.  The best so
         # far heads the parents, and the stable sort keeps it ahead of any

@@ -135,6 +135,32 @@ def test_completable_subcommand_structural_exit_code(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("bad", ["nan", "0.5", "-1"])
+def test_mask_csv_rejects_a_cell_that_is_not_0_or_1(tmp_path, capsys, bad):
+    # Such a cell used to count as a link.
+    mask_path = tmp_path / "mask.csv"
+    write_mask_csv(mask_path, AdjacencyMask.complete(6))
+    lines = mask_path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[4] = bad
+    lines[3] = ",".join(cells)
+    mask_path.write_text("\n".join(lines) + "\n")
+    edm_path = tmp_path / "edm.csv"
+    rng = np.random.default_rng(5)
+    write_edm_csv(edm_path, edm_from_points(NodeLayout(rng.uniform(0, 5, (2, 6)))))
+    for argv in (
+        ["completable", "--mask", str(mask_path)],
+        ["localize", "--edm", str(edm_path), "--mask", str(mask_path)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {mask_path}: line 4: mask cell {bad!r} is not 0 or 1\n"
+        )
+
+
 def test_sweep_subcommand_writes_outputs(tmp_path, capsys):
     cfg = {
         "array_sizes": [6],

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +23,12 @@ from arrayloc.geometry import (
     random_completable_mask,
 )
 from arrayloc import mds
-from arrayloc.mds import _double_centre, batched_mds
+from arrayloc.mds import _double_centre, batched_mds, embed_gram
 from arrayloc.ranging import sample_edm_statistical, synth_two_tone
 from arrayloc.snr import db_to_linear
 from arrayloc.solver import (
     SolverConfig,
+    _Workspace,
     _batched_costs,
     _cost_terms,
     _geodesic_upper_bounds,
@@ -195,7 +200,7 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
         observed = Edm(observed.entries + skew * mask.mask, observed=mask)
         assert not np.array_equal(observed.entries, observed.entries.T)
     terms = _cost_terms(observed, mask)
-    grams = _grams(vectors, terms)
+    grams = _grams(vectors, terms, _Workspace.allocate(len(vectors), terms, 2))
     want = _double_centre(mask.filled(observed.entries, vectors))
     scale = np.sqrt(np.sum(want**2, axis=(1, 2)))
     assert np.all(np.abs(grams - want).max(axis=(1, 2)) <= 1e-12 * scale)
@@ -207,7 +212,9 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
     # differ by 1e-8 relative; that is the eigen core's tolerance, tested
     # in test_mds.py, not the cost formula's.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mds, "leading_eigenpairs", mds._eigh_pairs)
+        patch.setattr(
+            mds, "leading_eigenpairs", lambda g, m, scratch: mds._eigh_pairs(g, m)
+        )
         np.testing.assert_allclose(
             _batched_costs(vectors, terms, 2),
             _reference_costs(vectors, observed, mask, 2),
@@ -220,8 +227,9 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
     "n, c", [(6, 0.8), (10, 0.9), (15, 0.9), (6, 1.0), (15, 0.5)]
 )
 def test_a_row_costs_alike_alone_and_in_any_batch(n, c, rng):
-    # The solver scores a generation in one batch and evaluate_cost scores
-    # one row: a row's cost must not depend on the rows beside it.
+    # The solver scores a generation in one batch, in a workspace sized for
+    # 400 rows, and evaluate_cost scores one row in fresh buffers: a row's
+    # cost must depend neither on the rows beside it nor on the buffers.
     observed, mask, vectors = _noisy_problem(rng, n, c)
     if c == 0.5:
         assert vectors.shape[1] == 52  # many basis columns in the product
@@ -233,6 +241,68 @@ def test_a_row_costs_alike_alone_and_in_any_batch(n, c, rng):
         assert _batched_costs(vectors[lo : lo + 7], terms, 2)[i - lo] == costs[i]
     for i in (0, 399):
         assert evaluate_cost(vectors[i], observed, mask, 2) == costs[i]
+    # m = 1 and m = 3 take eigh and the general-m residual.
+    for m in (1, 3):
+        alone = _batched_costs(vectors, terms, m)
+        for i in range(0, 400, 37):
+            assert _batched_costs(vectors[i : i + 1], terms, m)[0] == alone[i]
+    for m in (1, 2, 3):
+        work = _Workspace.allocate(400, terms, m)
+        for rows in (1, 7, 200, 400):
+            batch = vectors[400 - rows :]
+            assert np.array_equal(
+                _batched_costs(batch, terms, m, work), _batched_costs(batch, terms, m)
+            )
+
+
+def test_a_workspace_is_reused_without_aliasing(rng):
+    observed, mask, vectors = _noisy_problem(rng, 10, 0.9)
+    terms = _cost_terms(observed, mask)
+    work = _Workspace.allocate(400, terms, 2)
+    first = _batched_costs(vectors[:200], terms, 2, work)
+    kept = first.copy()
+    second = _batched_costs(vectors[200:], terms, 2, work)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+    values, coords = embed_gram(_grams(vectors, terms, work), 2, work.powers)
+    buffers = [getattr(work, field.name) for field in dataclasses.fields(work)]
+    for out in (first, second, values, coords):
+        assert not any(np.shares_memory(out, buffer) for buffer in buffers)
+
+
+_TWO_RUNS = """
+import resource
+import numpy as np
+from arrayloc.geometry import Edm, NodeLayout, edm_from_points, random_completable_mask
+from arrayloc.solver import SolverConfig, complete_and_localize
+
+rng = np.random.default_rng(4)
+full = edm_from_points(NodeLayout(rng.uniform(0.0, 5.0, size=(2, 15)))).entries
+mask = random_completable_mask(15, 0.9, rng)
+noise = np.triu(rng.normal(0.0, 0.01, size=(15, 15)), 1)
+entries = np.where(mask.mask, np.clip(full + noise + noise.T, 0.0, None), 0.0)
+observed = Edm(entries, observed=mask)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run = complete_and_localize(observed, mask, 2, SolverConfig(seed=4))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / run.generations_used)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="needs Linux minor-fault counts"
+)
+def test_a_generation_does_not_fault_its_arrays_back_in():
+    # Scoring a 15-node generation in fresh arrays touched about 7 MB of
+    # pages that the allocator had handed back to the kernel, over 1,000
+    # minor faults per generation; the trial's workspace keeps them mapped.
+    # A fresh process gives the heap a trial's starting state.
+    pytest.importorskip("resource")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TWO_RUNS], capture_output=True, text=True, check=True
+    )
+    assert float(proc.stdout) < 100.0
 
 
 # ---------------------------------------------------------------------------
