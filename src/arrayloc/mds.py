@@ -174,7 +174,7 @@ def _planar_pairs(
             ok = converged & (16.0 * (rest + 1e-9 * q[:, 0]) <= q[:, 1])
             values[rows[ok]], vectors[rows[ok]] = lead[ok], y[ok].transpose(0, 2, 1)
             more = ~converged & (residual <= _GIVE_UP_TOL**2 * scale)
-            if not more.any():
+            if stage is _STAGE_POWERS[-1] or not more.any():
                 break
             rows, x, sub = rows[more], x[more], sub[more]
             powers = {e: a[more] for e, a in powers.items()}

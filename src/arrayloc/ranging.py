@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .constants import SPEED_OF_LIGHT
 from .geometry import AdjacencyMask, Edm, NodeLayout, edm_from_points, write_csv
@@ -142,9 +141,27 @@ def crlb_sigma_d(bandwidth_hz, pulse_s, snr_linear, sample_rate_hz):
 _BLOCK_ROWS = 8
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2-3-5-7-11-smooth length >= n, the FFT sizes pocketfft runs fastest."""
+    while True:
+        rest = n
+        for factor in (2, 3, 5, 7, 11):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _correlate(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
-    """Matched filter of every row of ``rx`` at non-negative integer lags."""
-    return sp_signal.fftconvolve(rx, tx[::-1].conj()[None], mode="valid", axes=-1)
+    """Matched filter of every row of ``rx`` at non-negative integer lags.
+
+    The transforms, length and slice of ``scipy.signal.fftconvolve(rx,
+    tx[::-1].conj()[None], mode="valid", axes=-1)``, so the same bits.
+    """
+    size = _fast_len(rx.shape[-1] + tx.size - 1)
+    spectrum = np.fft.fft(rx, size) * np.fft.fft(tx[::-1].conj(), size)
+    return np.fft.ifft(spectrum)[:, tx.size - 1 : rx.shape[-1]]
 
 
 def _parabola_vertex(mag: np.ndarray, peak: np.ndarray) -> np.ndarray:

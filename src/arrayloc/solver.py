@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .geometry import AdjacencyMask, CompletabilityError, Edm, NodeLayout, \
     is_completable
@@ -206,13 +205,21 @@ def _geodesic_upper_bounds(
     """Squared shortest-path distances through observed links.
 
     The triangle inequality caps every missing distance by the geodesic
-    through measured edges, so these are valid (and fairly tight) boxes.
+    through measured edges, zero-length ones included, so these are valid
+    (and fairly tight) boxes.  Relaxing d[s, v] = min(d[s, v], d[s, u] +
+    w[u, v]) over u until nothing changes forms Dijkstra's float sums,
+    accumulated outward from the source s, in O(N^2) memory.
     """
-    weights = np.where(mask.mask, np.sqrt(np.abs(observed.entries)), 0.0)
-    # shortest_path treats 0 as "no edge"; an observed zero-length link
-    # still connects its endpoints, so nudge it onto a tiny positive weight.
-    weights[mask.mask & (weights == 0.0)] = 1e-12
-    geodesic = shortest_path(weights, method="D", directed=False)
+    weights = np.where(mask.mask, np.sqrt(np.abs(observed.entries)), np.inf)
+    weights = np.minimum(weights, weights.T)  # an undirected link's shorter way
+    geodesic = weights.copy()
+    np.fill_diagonal(geodesic, 0.0)
+    while True:
+        before = geodesic.copy()
+        for u in range(len(weights)):
+            np.minimum(geodesic, geodesic[:, u, None] + weights[u], out=geodesic)
+        if np.array_equal(before, geodesic):
+            break
     rows, cols = pair_idx
     bounds = geodesic[rows, cols] ** 2
     if not np.all(np.isfinite(bounds)):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from arrayloc import harness, ranging
@@ -18,6 +19,7 @@ from arrayloc.ranging import (
     build_qls_lut,
     crlb_sigma_d,
     _correlate,
+    _fast_len,
     _parabola_vertex,
     _receive,
     make_scenario,
@@ -592,12 +594,24 @@ def test_lut_matches_the_per_point_oracle(monkeypatch, bandwidth_hz, grid_points
     assert np.array_equal(lut.corrections, corrections)
 
 
-def test_matched_filter_matches_scipy_correlate(wave40, rng):
-    tx = wave40.samples
-    rx = _frac_delay(tx, 9.3, tx.size + 32)
-    rx = rx + 0.1 * (rng.standard_normal(rx.size) + 1j * rng.standard_normal(rx.size))
-    want = sp_signal.correlate(rx, tx, mode="valid", method="fft")
-    assert np.array_equal(_matched_filter(rx, tx), want)
+def test_matched_filter_matches_scipy_correlate(rng):
+    # the LUT's window and the capture window, at three tone separations
+    for bandwidth_hz in (20e6, 40e6, 80e6):
+        tx = _wave(bandwidth_hz).samples
+        for margin in (32, ranging.WINDOW_MARGIN + 24):
+            rx = np.stack([_frac_delay(tx, d, tx.size + margin) for d in (9.3, 3.0, 17.61)])
+            rx += 0.1 * (rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape))
+            for row in rx:
+                want = sp_signal.correlate(row, tx, mode="valid", method="fft")
+                assert np.array_equal(_matched_filter(row, tx), want)
+            # the block call that _correlate replaced
+            want = sp_signal.fftconvolve(rx, tx[::-1].conj()[None], mode="valid", axes=-1)
+            assert np.array_equal(_correlate(rx, tx), want)
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    for n in range(1, 30_001):
+        assert _fast_len(n) == sp_fft.next_fast_len(n, real=False), n
 
 
 def test_a_moved_scenario_exchanges_like_a_fresh_one(wave40):

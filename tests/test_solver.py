@@ -6,9 +6,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse.csgraph import shortest_path
 
 from arrayloc.evaluation import align_and_evm
 from arrayloc.geometry import (
@@ -408,6 +409,52 @@ def test_leading_eigenvalue_picks_match_stable_argsort(values, data):
     m = data.draw(st.integers(1, values.shape[1]))
     expected = np.argsort(-np.abs(values), axis=1, kind="stable")[:, :m]
     assert np.array_equal(_smallest_columns(-np.abs(values), m), expected)
+
+
+# ---------------------------------------------------------------------------
+# geodesic bounds: Dijkstra's sums, zero-length links included
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 40),
+    st.sampled_from(["random", "rounded", "elongated", "noisy"]),
+)
+def test_geodesic_bounds_equal_dijkstra(seed, n, kind):
+    # SciPy's dense graphs drop every weight at or below 1e-8 as "no edge",
+    # so the oracle holds only where every measured link is longer.
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, 10.0, size=(2, n))
+    if kind == "rounded":  # exact ties between paths
+        points = np.round(points)
+    elif kind == "elongated":  # 10:1
+        points[1] *= 0.1
+    full = edm_from_points(NodeLayout(points)).entries
+    if kind == "noisy":
+        noise = np.triu(rng.normal(0.0, 0.05, size=(n, n)), 1)
+        full = np.clip(full + noise + noise.T, 0.0, None)
+    mask = random_completable_mask(n, rng.uniform(min_edges(n) / max_edges(n), 1.0), rng)
+    weights = np.where(mask.mask, np.sqrt(full), 0.0)
+    assume(np.all(weights[mask.mask] > 1e-8))
+    observed = Edm(np.where(mask.mask, full, 0.0), observed=mask)
+    pairs = mask.missing_indices()
+    want = shortest_path(weights, method="D", directed=False)[pairs] ** 2
+    assert np.array_equal(_geodesic_upper_bounds(observed, mask, pairs), want)
+
+
+def test_a_zero_length_link_carries_the_geodesic():
+    # Nodes 0 and 1 coincide and only pair (1, 4) is unmeasured.  Through
+    # the zero-length link 1-0 its bound is |0 4|^2 = 18; a graph that drops
+    # that link bounds it by (|1 2| + |2 4|)^2 = 21.21 instead.
+    points = np.array([[0.0, 0.0, 0.0, 3.0, 3.0], [0.0, 0.0, 1.0, 0.0, 3.0]])
+    adj = ~np.eye(5, dtype=bool)
+    adj[1, 4] = adj[4, 1] = False
+    mask = AdjacencyMask(adj)
+    observed = mask_edm(edm_from_points(NodeLayout(points)), mask)
+    bounds = _geodesic_upper_bounds(observed, mask, mask.missing_indices())
+    assert bounds == pytest.approx([18.0], rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The README's "Library surface" section against what the package exports."""
+"""The README's "Library surface" section against what the package exports,
+and what importing the package loads."""
 
 from __future__ import annotations
 
 import importlib
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -51,3 +54,16 @@ def test_every_listed_name_imports():
 def test_every_export_is_listed():
     listed = {name for names in _surface().values() for name in names}
     assert _exports() - listed == set()
+
+
+def test_importing_arrayloc_loads_no_scipy():
+    # NumPy is the one runtime dependency; SciPy serves only as a test oracle.
+    # A fresh interpreter sees what the imports themselves load.
+    script = (
+        "import sys, arrayloc, arrayloc.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
