@@ -10,7 +10,6 @@ across runs with the same config and seed.
 from __future__ import annotations
 
 import json
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -44,15 +43,12 @@ from .ranging import (
     two_way_tof,
 )
 from .snr import db_to_linear
-from .solver import SolverConfig, SolverRun, complete_and_localize, require_int
+from .solver import (
+    SolverConfig, SolverRun, complete_and_localize, require_int, require_real,
+)
 
 RANGING_MODES = ("statistical", "signal_level")
 LAYOUT_KINDS = ("random_box", "circle", "file")
-
-# Signal-level trials synthesize and correlate every waveform; keep the
-# default envelope small enough for a desk run.
-SIGNAL_LEVEL_MAX_NODES = 8
-SIGNAL_LEVEL_MAX_TRIALS = 50
 
 
 @dataclass
@@ -65,9 +61,8 @@ class LayoutSpec:
     path: str | None = None  # layout CSV for kind="file"
 
     def __post_init__(self) -> None:
-        sizes = (self.extent_m, self.radius_m, self.min_separation_m)
-        if not all(math.isfinite(v) for v in (*sizes, self.radial_jitter)):
-            raise ValueError("layout sizes and jitter must be finite")
+        for name in ("extent_m", "radius_m", "radial_jitter", "min_separation_m"):
+            require_real(name, getattr(self, name))
         if self.kind not in LAYOUT_KINDS:
             raise ValueError(f"unknown layout kind {self.kind!r}")
         if self.kind == "random_box" and self.extent_m <= 0:
@@ -78,8 +73,9 @@ class LayoutSpec:
             if not 0.0 <= self.radial_jitter < 1.0:
                 raise ValueError("radial jitter must lie in [0, 1)")
         if self.kind == "file":
-            if not self.path:
-                raise ValueError("file layout needs a path")
+            # open() would take an int, or true, as a file descriptor.
+            if not isinstance(self.path, str) or not self.path:
+                raise ValueError(f"file layout needs a path, got {self.path!r}")
             self.file_layout = read_layout_csv(self.path)  # not a field: never echoed
 
 
@@ -129,14 +125,8 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
     workers: int = 1
-    allow_large_signal_level: bool = False
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if not self.array_sizes or not self.connectivities or not self.bandwidths_hz:
-            raise ValueError("sweep lists must be non-empty")
         for name, kind in (("layout", LayoutSpec), ("solver", SolverConfig)):
             value = getattr(self, name)
             if not isinstance(value, kind):
@@ -147,12 +137,23 @@ class ExperimentConfig:
             )
         for name in ("trials", "dim", "seed", "workers"):
             require_int(name, getattr(self, name))
+        for name in ("snr_h_db", "pulse_s", "sample_rate_hz", "rise_fall_s"):
+            require_real(name, getattr(self, name))
+        if not isinstance(self.noiseless, bool):
+            raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
+        for name, check in (
+            ("array_sizes", require_int),
+            ("connectivities", require_real),
+            ("bandwidths_hz", require_real),
+        ):
+            values = getattr(self, name)
+            for value in values:
+                check(f"{name} entry", value)
+            # A repeated value would rerun the same trials as one more point.
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} needs one or more distinct values: {values}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        scalars = (self.snr_h_db, self.pulse_s, self.sample_rate_hz, self.rise_fall_s)
-        numbers = (*scalars, *self.connectivities, *self.bandwidths_hz)
-        if not all(math.isfinite(x) for x in numbers):
-            raise ValueError("config numbers must be finite")
         if self.trials < 1:
             raise ValueError("need at least one trial per sweep point")
         if self.ranging_mode not in RANGING_MODES:
@@ -164,7 +165,6 @@ class ExperimentConfig:
         if self.snr_h_db > 200:
             raise ValueError("harmonic-mean SNR is implausibly large")
         for n in self.array_sizes:
-            require_int("array size", n)
             for c in self.connectivities:
                 edge_budget(n, c)
             if self.layout.kind == "file":  # the file's shape, before any trial
@@ -173,30 +173,19 @@ class ExperimentConfig:
             check_waveform(b, self.pulse_s, self.sample_rate_hz, self.rise_fall_s)
             if not self.noiseless and b == 0:
                 raise ValueError("noisy ranging needs a nonzero tone separation")
-        if self.ranging_mode == "signal_level" and not self.allow_large_signal_level:
-            for what, value, cap in (
-                ("nodes", max(self.array_sizes), SIGNAL_LEVEL_MAX_NODES),
-                ("trials", self.trials, SIGNAL_LEVEL_MAX_TRIALS),
-            ):
-                if value > cap:
-                    raise ValueError(
-                        f"signal-level mode is limited to {cap} {what} by default"
-                    )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ValueError("config root must be a JSON object")
         data = dict(raw)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         try:
-            if isinstance(data.get("layout"), dict):
-                data["layout"] = LayoutSpec(**data["layout"])
-            if isinstance(data.get("solver"), dict):
-                data["solver"] = SolverConfig(**data["solver"])
+            for name, kind in (("layout", LayoutSpec), ("solver", SolverConfig)):
+                if isinstance(data.get(name), dict):
+                    data[name] = kind(**data[name])
             return cls(**data)
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from exc

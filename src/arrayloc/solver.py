@@ -41,6 +41,13 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value) -> None:
+    """Reject a number that is not finite and real; a bool is not a number."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not real or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     population_size: int = 200
@@ -56,13 +63,16 @@ class SolverConfig:
         for name in ("population_size", "max_generations", "convergence_window"):
             require_int(name, getattr(self, name))
         require_int("seed", self.seed)
+        for name in ("convergence_delta", "parent_fraction", "differential_weight",
+                     "crossover_rate"):
+            require_real(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"solver seed must be non-negative, got {self.seed}")
         if self.population_size < 4:
             raise ValueError("population must have at least 4 individuals")
         if self.max_generations < 1:
             raise ValueError("need at least one generation")
-        if not 0.0 <= self.convergence_delta < math.inf:
+        if self.convergence_delta < 0.0:
             raise ValueError("convergence threshold must be finite and non-negative")
         if self.convergence_window < 1:
             raise ValueError("convergence window must be at least 1")

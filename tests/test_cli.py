@@ -216,11 +216,20 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         {"rise_fall_s": 5e-6},
         {"pulse_s": -1},
         {"solver": {"seed": 12345}},
+        {"noiseless": "false"},
+        {"connectivities": [True]},
+        {"snr_h_db": True},
+        {"solver": {"crossover_rate": True}},
+        {"layout": {"extent_m": True}},
+        {"array_sizes": [6, 6]},
+        {"allow_large_signal_level": True},
     ],
     ids=[
         "solver-key", "layout-key", "float-trials", "float-population",
         "bool-workers", "nan-bandwidth", "nan-snr", "int-layout", "list-solver",
         "negative-seed", "long-ramps", "negative-pulse", "solver-seed",
+        "string-noiseless", "bool-connectivity", "bool-snr", "bool-crossover",
+        "bool-extent", "repeated-size", "retired-signal-level-cap",
     ],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):
@@ -303,6 +312,12 @@ def test_simulate_subcommand_smoke(capsys):
     values = _parse_kv(capsys.readouterr().out)
     assert float(values["final_evm_m"]) < 1e-9
     assert values["converged"] == "true"
+
+
+def test_simulate_runs_signal_level_beyond_8_nodes(capsys):
+    code = main(["simulate", "--mode", "signal_level", "--nodes", "12", "--seed", "1"])
+    assert code == 0
+    assert float(_parse_kv(capsys.readouterr().out)["final_evm_m"]) > 0
 
 
 def test_simulate_mode_choices_are_the_harness_modes(capsys):

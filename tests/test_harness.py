@@ -134,19 +134,20 @@ def test_config_accepts_exactly_the_feasible_masks(n, data):
         assert mask.edge_count == edge_budget(n, c)
 
 
-def test_signal_level_guard_rails():
-    with pytest.raises(ValueError):
-        ExperimentConfig(array_sizes=[10], connectivities=[0.9],
-                         ranging_mode="signal_level")
-    with pytest.raises(ValueError):
-        ExperimentConfig(trials=60, ranging_mode="signal_level")
-    cfg = ExperimentConfig(
-        array_sizes=[10],
-        connectivities=[0.9],
-        ranging_mode="signal_level",
-        allow_large_signal_level=True,
-    )
-    assert cfg.ranging_mode == "signal_level"
+def test_sweep_lists_reject_repeats_but_not_equal_budgets():
+    # A repeated value would rerun the same trial seeds and summarize would
+    # merge them into one point with twice the trials.
+    for repeated in (
+        {"array_sizes": [6, 6]},
+        {"connectivities": [0.8, 0.8]},
+        {"bandwidths_hz": [40e6, 4e7]},
+    ):
+        with pytest.raises(ValueError, match="distinct values"):
+            ExperimentConfig(**repeated)
+    # Distinct values stay legal even where they give one edge budget, as
+    # criterion 09's 0.9 and 0.95 do at 6 nodes.
+    assert edge_budget(6, 0.9) == edge_budget(6, 0.95)
+    assert ExperimentConfig(connectivities=[0.9, 0.95]).connectivities == [0.9, 0.95]
 
 
 def test_load_config_from_json(tmp_path):
@@ -263,6 +264,16 @@ def test_layout_spec_validation():
         LayoutSpec(kind="circle", min_separation_m=float("nan"))
 
 
+def test_file_layout_path_must_be_a_string(monkeypatch):
+    # open() takes an int, or true, as a file descriptor: true reads stdout.
+    opened = []
+    monkeypatch.setattr(harness, "read_layout_csv", opened.append)
+    for path in (True, 0, 3):
+        with pytest.raises(ValueError, match="needs a path"):
+            LayoutSpec(kind="file", path=path)
+    assert opened == []
+
+
 # ---------------------------------------------------------------------------
 # experiment runs
 # ---------------------------------------------------------------------------
@@ -336,6 +347,22 @@ def test_pool_gets_no_more_workers_than_trials(monkeypatch):
     assert started == [2]
     assert len(run_experiment(_tiny_config(trials=1, workers=64))) == 1
     assert started == [2]  # one trial runs serially
+
+
+def test_signal_level_beyond_8_nodes_matches_serial_with_workers(tmp_path):
+    # Criterion 10's property for a signal-level sweep the retired 8-node cap
+    # used to refuse.  summary.json echoes the config, workers included.
+    base = dict(array_sizes=[10], connectivities=[0.9], bandwidths_hz=[40e6],
+                trials=4, seed=11, ranging_mode="signal_level")
+    outs = []
+    for workers in (1, 2):
+        cfg = ExperimentConfig(**base, workers=workers)
+        write_outputs(cfg, run_experiment(cfg), tmp_path / str(workers))
+        outs.append(tmp_path / str(workers))
+    for name in ("records.csv", "convergence.csv", "summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    serial, parallel = ((out / "summary.json").read_text() for out in outs)
+    assert parallel == serial.replace('"workers": 1', '"workers": 2')
 
 
 def test_signal_level_smoke_run():

@@ -1,9 +1,12 @@
 """The README's "Library surface" section against what the package exports,
-and what importing the package loads."""
+its sweep-configuration example against the config's fields, and what
+importing the package loads."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -11,6 +14,7 @@ import types
 from pathlib import Path
 
 import arrayloc
+from arrayloc.harness import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,3 +71,20 @@ def test_importing_arrayloc_loads_no_scipy():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_configuration_example_lists_the_config_fields():
+    # The README's example shows every ExperimentConfig field at its default;
+    # for layout and solver it shows some fields, each at its default.
+    section = README.read_text().split("\n## Sweep configuration\n", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    defaults = ExperimentConfig()
+    assert example.keys() == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name, value in example.items():
+        if name in ("layout", "solver"):
+            nested = getattr(defaults, name)
+            assert value.keys() <= {f.name for f in dataclasses.fields(nested)}, name
+            for key, default in value.items():
+                assert default == getattr(nested, key), f"{name}.{key}"
+        else:
+            assert value == getattr(defaults, name), name
