@@ -32,7 +32,7 @@ from .harness import (
 from .mds import classical_mds
 from .ranging import crlb_sigma_d
 from .snr import blind_snr_estimate, db_to_linear, linear_to_db, read_sample_matrix_csv
-from .solver import SolverConfig, complete_and_localize
+from .solver import complete_and_localize
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -94,8 +94,7 @@ def _cmd_mds(args: argparse.Namespace) -> int:
 def _cmd_localize(args: argparse.Namespace) -> int:
     mask = read_mask_csv(args.mask)
     edm = read_edm_csv(args.edm, mask=mask)
-    config = SolverConfig(seed=args.seed)
-    run = complete_and_localize(edm, mask, args.dim, config)
+    run = complete_and_localize(edm, mask, 2, rng=np.random.default_rng(args.seed))
     write_layout_csv(args.out or sys.stdout, run.recovered_layout)
     print(
         f"cost={float(run.best_cost_history[-1])!r} "
@@ -118,7 +117,7 @@ def _cmd_snr_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_completable(args: argparse.Namespace) -> int:
     mask = read_mask_csv(args.mask)
-    ok = is_completable(mask, args.dim)
+    ok = is_completable(mask)
     print(f"completable={'true' if ok else 'false'}")
     if not ok:
         raise CompletabilityError("mask cannot resolve the array")
@@ -166,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="complete a partial matrix and embed it")
     p.add_argument("--edm", required=True, help="squared-distance CSV")
     p.add_argument("--mask", required=True, help="observation mask CSV (0/1)")
-    p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write coordinates here instead of stdout")
     p.set_defaults(func=_cmd_localize)
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("completable", help="check an observation mask")
     p.add_argument("--mask", required=True, help="observation mask CSV (0/1)")
-    p.add_argument("--dim", type=int, default=2)
     p.set_defaults(func=_cmd_completable)
 
     return parser

@@ -120,7 +120,6 @@ class ExperimentConfig:
     rise_fall_s: float = DEFAULT_RISE_FALL_S
     ranging_mode: str = "statistical"
     noiseless: bool = False
-    dim: int = 2
     layout: LayoutSpec = field(default_factory=LayoutSpec)
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
@@ -131,11 +130,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be an object, got {value!r}")
-        if self.solver.seed != 0:
-            raise ValueError(
-                "solver.seed must be 0: the sweep's seed drives every trial stream"
-            )
-        for name in ("trials", "dim", "seed", "workers"):
+        for name in ("trials", "seed", "workers"):
             require_int(name, getattr(self, name))
         for name in ("snr_h_db", "pulse_s", "sample_rate_hz", "rise_fall_s"):
             require_real(name, getattr(self, name))
@@ -158,12 +153,12 @@ class ExperimentConfig:
             raise ValueError("need at least one trial per sweep point")
         if self.ranging_mode not in RANGING_MODES:
             raise ValueError(f"unknown ranging mode {self.ranging_mode!r}")
-        if self.dim != 2:
-            raise ValueError("only planar arrays (dim == 2) are supported")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
         if self.snr_h_db > 200:
             raise ValueError("harmonic-mean SNR is implausibly large")
+        if db_to_linear(self.snr_h_db) <= 0.0:  # 10 ** (-400) is 0.0
+            raise ValueError(f"harmonic-mean SNR {self.snr_h_db} dB underflows to 0")
         for n in self.array_sizes:
             for c in self.connectivities:
                 edge_budget(n, c)
@@ -256,10 +251,10 @@ def _signal_level_edm(
 
 
 def _alignments(
-    run: SolverRun, observed: Edm, mask: AdjacencyMask, truth: NodeLayout, m: int
+    run: SolverRun, observed: Edm, mask: AdjacencyMask, truth: NodeLayout
 ) -> list[AlignmentResult]:
     """Each generation's best layout aligned onto the truth; the last is the run's."""
-    _, coords = batched_mds(mask.filled(observed.entries, run.best_vector_history), m)
+    _, coords = batched_mds(mask.filled(observed.entries, run.best_vector_history), 2)
     return [align_and_evm(NodeLayout(c.T), truth) for c in coords]
 
 
@@ -282,9 +277,9 @@ def _run_trial(task: _TrialTask) -> TrialRecord:
         observed = sample(layout, mask, snr_h, waveform, rng_noise)
 
     started = time.perf_counter()
-    run = complete_and_localize(observed, mask, cfg.dim, cfg.solver, rng_solver)
+    run = complete_and_localize(observed, mask, 2, cfg.solver, rng_solver)
     wall = time.perf_counter() - started
-    alignments = _alignments(run, observed, mask, layout, cfg.dim)
+    alignments = _alignments(run, observed, mask, layout)
     return TrialRecord(
         trial_id=task.trial_id,
         n_nodes=task.n,

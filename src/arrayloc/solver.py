@@ -33,6 +33,12 @@ from .mds import _double_centre, _smallest_columns, classical_mds, embed_gram
 # rank survival keeps the best cost falling almost every generation, which
 # the windowed stall test below relies on.
 OFFSPRING_PER_PARENT = 3
+DIFFERENTIAL_WEIGHT = 0.8  # F, the scale of the donor difference
+CROSSOVER_RATE = 0.9  # CR, the chance a coordinate comes from the donor
+# The search stalls when the best cost falls by at most STALL_DELTA of
+# itself per generation, averaged over the last STALL_WINDOW generations.
+STALL_DELTA = 1e-6
+STALL_WINDOW = 5
 
 
 def require_int(name: str, value) -> None:
@@ -52,36 +58,18 @@ def require_real(name: str, value) -> None:
 class SolverConfig:
     population_size: int = 200
     max_generations: int = 100
-    convergence_delta: float = 1e-6  # mean best-cost drop per generation
-    convergence_window: int = 5
     parent_fraction: float = 0.5  # survivors; the rest immigrate randomly
-    differential_weight: float = 0.8
-    crossover_rate: float = 0.9
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("population_size", "max_generations", "convergence_window"):
+        for name in ("population_size", "max_generations"):
             require_int(name, getattr(self, name))
-        require_int("seed", self.seed)
-        for name in ("convergence_delta", "parent_fraction", "differential_weight",
-                     "crossover_rate"):
-            require_real(name, getattr(self, name))
-        if self.seed < 0:
-            raise ValueError(f"solver seed must be non-negative, got {self.seed}")
+        require_real("parent_fraction", self.parent_fraction)
         if self.population_size < 4:
             raise ValueError("population must have at least 4 individuals")
         if self.max_generations < 1:
             raise ValueError("need at least one generation")
-        if self.convergence_delta < 0.0:
-            raise ValueError("convergence threshold must be finite and non-negative")
-        if self.convergence_window < 1:
-            raise ValueError("convergence window must be at least 1")
         if not 0.0 < self.parent_fraction <= 1.0:
             raise ValueError("parent fraction must lie in (0, 1]")
-        if not 0.0 < self.differential_weight <= 2.0:
-            raise ValueError("differential weight must lie in (0, 2]")
-        if not 0.0 < self.crossover_rate <= 1.0:
-            raise ValueError("crossover rate must lie in (0, 1]")
 
 
 @dataclass
@@ -250,8 +238,9 @@ def complete_and_localize(
         observed: squared-distance matrix, valid at masked-true entries.
         mask: measured entries, as in ``observed``'s own mask; must be completable.
         m: embedding dimension.
-        config: DE settings; defaults match the reference setup.
-        rng: random source; defaults to a generator seeded by config.seed.
+        config: population size, generation cap and parent fraction;
+            defaults match the reference setup.
+        rng: random source; defaults to ``np.random.default_rng(0)``.
 
     Returns:
         SolverRun with per-generation best-so-far history.  The best cost
@@ -259,8 +248,7 @@ def complete_and_localize(
     """
     _check_masks(observed, mask)
     config = config or SolverConfig()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0) if rng is None else rng
     if not is_completable(mask, m):
         raise CompletabilityError(
             "observation mask cannot anchor every node in the array"
@@ -296,8 +284,8 @@ def complete_and_localize(
         keys[np.arange(n_kids), targets] = 2.0
         donor_idx = _smallest_columns(keys, 3)
         a, b, c = (parents[donor_idx[:, k]] for k in range(3))
-        donors = a + config.differential_weight * (b - c)
-        cross = rng.random((n_kids, n_vars)) < config.crossover_rate
+        donors = a + DIFFERENTIAL_WEIGHT * (b - c)
+        cross = rng.random((n_kids, n_vars)) < CROSSOVER_RATE
         forced = rng.integers(0, n_vars, size=n_kids)
         cross[np.arange(n_kids), forced] = True
         target_vecs = parents[targets]
@@ -326,14 +314,13 @@ def complete_and_localize(
         cost_history.append(float(survivor_costs[0]))
         vector_history.append(survivors[0].copy())
         g = len(cost_history) - 1
-        w = config.convergence_window
-        if g >= w:
+        if g >= STALL_WINDOW:
             # Fractional improvement per generation, averaged over the
             # window.  An absolute test would halt mid-descent at whatever
             # scale matches the threshold; stalling is scale-free.
-            ref = cost_history[g - w]
-            mean_drop = (ref - cost_history[g]) / w
-            if mean_drop <= config.convergence_delta * max(ref, 1e-300):
+            ref = cost_history[g - STALL_WINDOW]
+            mean_drop = (ref - cost_history[g]) / STALL_WINDOW
+            if mean_drop <= STALL_DELTA * max(ref, 1e-300):
                 converged = True
 
     layout = classical_mds(Edm(mask.filled(observed.entries, vector_history[-1])), m)

@@ -13,13 +13,16 @@ from arrayloc.geometry import (
     NodeLayout,
     edm_from_points,
     random_completable_mask,
+    read_edm_csv,
     read_layout_csv,
+    read_mask_csv,
     write_edm_csv,
     write_layout_csv,
     write_mask_csv,
 )
 from arrayloc.harness import RANGING_MODES, load_config
 from arrayloc.snr import SampleMatrix, db_to_linear, write_sample_matrix_csv
+from arrayloc.solver import complete_and_localize
 
 from conftest import REF_CRLB_SIGMA_M
 
@@ -70,12 +73,11 @@ def test_mds_subcommand_prints_to_stdout(tmp_path, capsys):
     assert values == pytest.approx([-1.5, 1.5])
 
 
-def _run_localize(tmp_path, unobserved_value):
-    """Write the reference 6-node problem and run ``localize`` on it.
+def _localize_problem(tmp_path, unobserved_value):
+    """Write the reference 6-node problem's EDM and mask CSVs.
 
     Every unmeasured off-diagonal entry of the EDM CSV holds
-    ``unobserved_value``.  Returns the exit code, the recovered layout and
-    the true layout.
+    ``unobserved_value``.  Returns the two paths and the true layout.
     """
     rng = np.random.default_rng(1000)
     truth = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 6)))
@@ -84,15 +86,24 @@ def _run_localize(tmp_path, unobserved_value):
     np.fill_diagonal(entries, 0.0)
     edm_path = tmp_path / "edm.csv"
     mask_path = tmp_path / "mask.csv"
-    out_path = tmp_path / "layout.csv"
     with open(edm_path, "w") as fh:
         fh.write(",".join(f"n{i}" for i in range(6)) + "\n")
         for row in entries:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     write_mask_csv(mask_path, mask)
+    return edm_path, mask_path, truth
+
+
+def _run_localize(tmp_path, unobserved_value):
+    """Run ``localize`` on the reference 6-node problem.
+
+    Returns the exit code, the recovered layout and the true layout.
+    """
+    edm_path, mask_path, truth = _localize_problem(tmp_path, unobserved_value)
+    out_path = tmp_path / "layout.csv"
     code = main(
         ["localize", "--edm", str(edm_path), "--mask", str(mask_path),
-         "--dim", "2", "--seed", "0", "--out", str(out_path)]
+         "--seed", "0", "--out", str(out_path)]
     )
     return code, read_layout_csv(out_path), truth
 
@@ -111,6 +122,54 @@ def test_localize_ignores_nan_at_unobserved_entries(tmp_path, capsys):
     stats = dict(kv.split("=") for kv in capsys.readouterr().err.split())
     assert np.isfinite(float(stats["cost"]))
     assert align_and_evm(recovered, truth).evm_mean < 1e-4
+
+
+def test_localize_seed_seeds_the_solver_generator(tmp_path, capsys):
+    edm_path, mask_path, _ = _localize_problem(tmp_path, 0.0)
+    mask = read_mask_csv(mask_path)
+    run = complete_and_localize(
+        read_edm_csv(edm_path, mask=mask), mask, 2, rng=np.random.default_rng(7)
+    )
+    expected = tmp_path / "expected.csv"
+    write_layout_csv(expected, run.recovered_layout)
+    out_path = tmp_path / "layout.csv"
+    code = main(
+        ["localize", "--edm", str(edm_path), "--mask", str(mask_path),
+         "--seed", "7", "--out", str(out_path)]
+    )
+    assert code == 0
+    assert out_path.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().err == (
+        f"cost={float(run.best_cost_history[-1])!r} "
+        f"generations={run.generations_used} "
+        f"converged={'true' if run.converged else 'false'}\n"
+    )
+
+
+def test_localize_rejects_a_negative_seed(tmp_path, capsys):
+    edm_path, mask_path, _ = _localize_problem(tmp_path, 0.0)
+    code = main(
+        ["localize", "--edm", str(edm_path), "--mask", str(mask_path), "--seed", "-1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["localize", "completable"])
+def test_planar_subcommands_take_no_dim(tmp_path, capsys, command):
+    # Both work on planar arrays only.
+    edm_path, mask_path, _ = _localize_problem(tmp_path, 0.0)
+    files = ["--mask", str(mask_path)]
+    if command == "localize":
+        files += ["--edm", str(edm_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, "--dim", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --dim 2" in captured.err
 
 
 def test_completable_subcommand_accepts_good_mask(tmp_path, capsys):
@@ -223,6 +282,10 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         {"layout": {"extent_m": True}},
         {"array_sizes": [6, 6]},
         {"allow_large_signal_level": True},
+        {"snr_h_db": -4000},
+        {"dim": 2},
+        {"solver": {"convergence_delta": 1e-4}},
+        {"solver": {"parent_fraction": True}},
     ],
     ids=[
         "solver-key", "layout-key", "float-trials", "float-population",
@@ -230,6 +293,8 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         "negative-seed", "long-ramps", "negative-pulse", "solver-seed",
         "string-noiseless", "bool-connectivity", "bool-snr", "bool-crossover",
         "bool-extent", "repeated-size", "retired-signal-level-cap",
+        "underflowing-snr", "retired-dim", "retired-solver-constant",
+        "bool-parent-fraction",
     ],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):

@@ -1,6 +1,7 @@
 """The README's "Library surface" section against what the package exports,
-its sweep-configuration example against the config's fields, and what
-importing the package loads."""
+its sweep-configuration example against the config's fields, its sentence
+on the search's constants against the solver's, and what importing the
+package loads."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import types
 from pathlib import Path
 
 import arrayloc
+from arrayloc import solver
 from arrayloc.harness import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -88,3 +90,23 @@ def test_sweep_configuration_example_lists_the_config_fields():
                 assert default == getattr(nested, key), f"{name}.{key}"
         else:
             assert value == getattr(defaults, name), name
+
+
+def test_readme_states_the_search_constants():
+    # One README sentence gives the search's fixed settings; a change to any
+    # of them in solver.py must change that sentence too.
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"The search is DE/rand/1/bin .*? generations\.", text)
+    assert sentence, "README lacks the sentence on the search's constants"
+    number = r"([0-9][0-9.e+-]*)"
+    stated = {
+        "DIFFERENTIAL_WEIGHT": rf"mutation scale F = {number}",
+        "CROSSOVER_RATE": rf"crossover rate CR = {number}",
+        "OFFSPRING_PER_PARENT": rf"breeding {number} offspring per",
+        "STALL_DELTA": rf"δ = {number} of itself",
+        "STALL_WINDOW": rf"window of {number} generations",
+    }
+    for name, pattern in stated.items():
+        value = re.search(pattern, sentence.group(0))
+        assert value, f"the sentence does not state {name}"
+        assert float(value.group(1)) == getattr(solver, name), name
