@@ -208,8 +208,10 @@ class TrialRecord:
     final_evm_m: float
     final_evm_rms_m: float
     generations_used: int
-    converged: bool
+    stop_reason: str  # as SolverRun's; records.csv keeps only `converged`
     wall_time_s: float  # informational; never written to CSV
+
+    converged = SolverRun.converged
 
 
 @dataclass
@@ -292,7 +294,7 @@ def _run_trial(task: _TrialTask) -> TrialRecord:
         final_evm_m=alignments[-1].evm_mean,
         final_evm_rms_m=alignments[-1].evm_rms,
         generations_used=run.generations_used,
-        converged=run.converged,
+        stop_reason=run.stop_reason,
         wall_time_s=wall,
     )
 

@@ -37,7 +37,8 @@ DIFFERENTIAL_WEIGHT = 0.8  # F, the scale of the donor difference
 CROSSOVER_RATE = 0.9  # CR, the chance a coordinate comes from the donor
 # The search stalls when the best cost falls by at most STALL_DELTA of
 # itself per generation, averaged over the last STALL_WINDOW generations.
-STALL_DELTA = 1e-6
+# The README says how the value was chosen: an EVM budget and a replay.
+STALL_DELTA = 1e-4
 STALL_WINDOW = 5
 
 
@@ -77,8 +78,13 @@ class SolverRun:
     best_cost_history: np.ndarray  # best-so-far after each generation
     best_vector_history: np.ndarray  # (generations, n_missing)
     generations_used: int
-    converged: bool
+    stop_reason: str  # "stalled", "max_generations" or "complete_mask"
     recovered_layout: NodeLayout
+
+    @property
+    def converged(self) -> bool:
+        """The search ended before the generation cap ran out."""
+        return self.stop_reason != "max_generations"
 
 
 @dataclass(frozen=True)
@@ -271,10 +277,10 @@ def complete_and_localize(
     best_idx = int(np.argmin(costs))
     cost_history = [float(costs[best_idx])]
     vector_history = [population[best_idx].copy()]
-    converged = not n_vars  # a complete mask has nothing left to evolve
+    stop_reason = None if n_vars else "complete_mask"  # nothing to evolve
 
     targets = np.tile(np.arange(n_parents), OFFSPRING_PER_PARENT)
-    while len(cost_history) < config.max_generations and not converged:
+    while stop_reason is None and len(cost_history) < config.max_generations:
         order = np.argsort(costs, kind="stable")
         parents = population[order[:n_parents]]
         parent_costs = costs[order[:n_parents]]
@@ -321,13 +327,13 @@ def complete_and_localize(
             ref = cost_history[g - STALL_WINDOW]
             mean_drop = (ref - cost_history[g]) / STALL_WINDOW
             if mean_drop <= STALL_DELTA * max(ref, 1e-300):
-                converged = True
+                stop_reason = "stalled"
 
     layout = classical_mds(Edm(mask.filled(observed.entries, vector_history[-1])), m)
     return SolverRun(
         best_cost_history=np.array(cost_history),
         best_vector_history=np.array(vector_history),
         generations_used=len(cost_history),
-        converged=converged,
+        stop_reason=stop_reason or "max_generations",
         recovered_layout=layout,
     )

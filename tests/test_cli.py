@@ -142,7 +142,8 @@ def test_localize_seed_seeds_the_solver_generator(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"cost={float(run.best_cost_history[-1])!r} "
         f"generations={run.generations_used} "
-        f"converged={'true' if run.converged else 'false'}\n"
+        f"converged={'true' if run.converged else 'false'} "
+        f"stop={run.stop_reason}\n"
     )
 
 
@@ -377,6 +378,7 @@ def test_simulate_subcommand_smoke(capsys):
     values = _parse_kv(capsys.readouterr().out)
     assert float(values["final_evm_m"]) < 1e-9
     assert values["converged"] == "true"
+    assert values["stop_reason"] == "complete_mask"
 
 
 def test_simulate_runs_signal_level_beyond_8_nodes(capsys):

@@ -59,7 +59,7 @@ def _record(final_evm_m: float, **overrides) -> TrialRecord:
         final_evm_m=final_evm_m,
         final_evm_rms_m=final_evm_m,
         generations_used=1,
-        converged=True,
+        stop_reason="stalled",
         wall_time_s=0.0,
     )
     base.update(overrides)
@@ -436,7 +436,8 @@ def test_output_csv_bytes(tmp_path):
             final_cost=0.125,
             generations_used=2,
         ),
-        _record(0.0, trial_id=1, trial_seed=1, final_cost=1e-7, converged=False),
+        _record(0.0, trial_id=1, trial_seed=1, final_cost=1e-7,
+                stop_reason="max_generations"),
     ]
     paths = write_outputs(_tiny_config(), records, tmp_path / "out")
     assert paths["records"].read_bytes() == (

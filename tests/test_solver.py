@@ -23,7 +23,8 @@ from arrayloc.geometry import (
     min_edges,
     random_completable_mask,
 )
-from arrayloc import mds
+from arrayloc import mds, solver
+from arrayloc.harness import _signal_level_edm
 from arrayloc.mds import _double_centre, batched_mds, embed_gram
 from arrayloc.ranging import sample_edm_statistical, synth_two_tone
 from arrayloc.snr import db_to_linear
@@ -483,10 +484,73 @@ def test_complete_mask_degenerates_to_plain_mds(rng):
     mask = AdjacencyMask.complete(6)
     observed = mask_edm(edm_from_points(layout), mask)
     run = complete_and_localize(observed, mask, 2)
+    assert run.stop_reason == "complete_mask"
     assert run.converged
     assert run.generations_used == 1
     assert run.best_vector_history.shape == (1, 0)
     assert align_and_evm(run.recovered_layout, layout).evm_mean < 1e-9
+
+
+def test_the_generation_cap_stops_with_max_generations(rng):
+    _, mask, observed = _masked_problem(rng)
+    run = complete_and_localize(
+        observed, mask, 2, SolverConfig(max_generations=2), rng
+    )
+    assert run.generations_used == 2
+    assert run.stop_reason == "max_generations"
+    assert not run.converged
+
+
+def test_a_noiseless_run_stops_stalled():
+    _, mask, observed = _masked_problem(np.random.default_rng(1))
+    run = complete_and_localize(observed, mask, 2, rng=np.random.default_rng(1))
+    assert run.stop_reason == "stalled"
+    assert run.converged
+    assert run.generations_used < SolverConfig().max_generations
+    # A stall on the last generation the cap allows is still a stall.
+    capped = complete_and_localize(
+        observed, mask, 2, SolverConfig(max_generations=run.generations_used),
+        np.random.default_rng(1),
+    )
+    assert capped.stop_reason == "stalled"
+    assert np.array_equal(capped.best_cost_history, run.best_cost_history)
+
+
+def _stall_length(history: np.ndarray, delta: float) -> int:
+    """How many generations of ``history`` the stall test with ``delta`` keeps."""
+    window = solver.STALL_WINDOW
+    for g in range(window, history.size):
+        ref = history[g - window]
+        if (ref - history[g]) / window <= delta * max(ref, 1e-300):
+            return g + 1
+    return history.size
+
+
+@pytest.mark.parametrize(
+    "n, c, sample",
+    [(6, 0.8, sample_edm_statistical), (10, 0.9, sample_edm_statistical),
+     (8, 0.9, _signal_level_edm)],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_a_looser_stall_threshold_cuts_the_same_run_short(
+    n, c, sample, seed, wave40, monkeypatch
+):
+    # No generation changes an earlier one, so the run under STALL_DELTA is
+    # the run under the search's earlier, tighter 1e-6, stopped where the
+    # STALL_DELTA test first fires on that run's history.
+    rng = np.random.default_rng(seed)
+    layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))
+    mask = random_completable_mask(n, c, rng)
+    observed = sample(layout, mask, db_to_linear(34.0), wave40, rng)
+    delta = solver.STALL_DELTA
+    new = complete_and_localize(observed, mask, 2, rng=np.random.default_rng(seed))
+    monkeypatch.setattr(solver, "STALL_DELTA", 1e-6)
+    old = complete_and_localize(observed, mask, 2, rng=np.random.default_rng(seed))
+    g = _stall_length(old.best_cost_history, delta)
+    assert new.generations_used == g < old.generations_used
+    assert new.best_cost_history.tobytes() == old.best_cost_history[:g].tobytes()
+    assert new.best_vector_history.tobytes() == old.best_vector_history[:g].tobytes()
+    assert new.stop_reason == "stalled"
 
 
 def test_noiseless_recovery_single_seed():
