@@ -56,6 +56,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"generations_used={record.generations_used}")
     print(f"converged={'true' if record.converged else 'false'}")
     print(f"stop_reason={record.stop_reason}")
+    print(f"evaluations={record.evaluations}")
     if record.final_evm_m > 0:
         print(f"max_beamform_freq_hz={max_beamform_freq(record.final_evm_m)!r}")
     return 0
@@ -101,7 +102,8 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         f"cost={float(run.best_cost_history[-1])!r} "
         f"generations={run.generations_used} "
         f"converged={'true' if run.converged else 'false'} "
-        f"stop={run.stop_reason}",
+        f"stop={run.stop_reason} "
+        f"evaluations={run.evaluations}",
         file=sys.stderr,
     )
     return 0

@@ -10,6 +10,7 @@ across runs with the same config and seed.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -36,6 +37,7 @@ from .mds import batched_mds
 from .ranging import (
     DEFAULT_RISE_FALL_S,
     check_waveform,
+    crlb_sigma_d,
     make_scenario,
     sample_edm_statistical,
     simulate_exchange,
@@ -44,11 +46,17 @@ from .ranging import (
 )
 from .snr import db_to_linear
 from .solver import (
-    SolverConfig, SolverRun, complete_and_localize, require_int, require_real,
+    SolverConfig, SolverRun, complete_and_localize, complete_and_localize_group,
+    require_int, require_real,
 )
 
 RANGING_MODES = ("statistical", "signal_level")
 LAYOUT_KINDS = ("random_box", "circle", "file")
+# Gram entries (candidate rows x N^2) that one lockstep cost batch holds per
+# generation: three 6-node trials at the default population, and one trial
+# from 8 nodes up.  A larger batch saves less per trial as N grows, while
+# its memory grows with every trial it adds.
+LOCKSTEP_GRAM_BUDGET = 3 * 400 * 6**2
 
 
 @dataclass
@@ -77,6 +85,14 @@ class LayoutSpec:
             if not isinstance(self.path, str) or not self.path:
                 raise ValueError(f"file layout needs a path, got {self.path!r}")
             self.file_layout = read_layout_csv(self.path)  # not a field: never echoed
+
+    def span_m(self) -> float:
+        """The largest distance two nodes of this layout can lie apart."""
+        if self.kind == "random_box":
+            return math.sqrt(2.0) * self.extent_m
+        if self.kind == "circle":
+            return 2.0 * self.radius_m * (1.0 + self.radial_jitter)
+        return math.sqrt(edm_from_points(self.file_layout).entries.max())
 
 
 def draw_layout(spec: LayoutSpec, n: int, rng: np.random.Generator) -> NodeLayout:
@@ -157,17 +173,27 @@ class ExperimentConfig:
             raise ValueError("worker count must be at least 1")
         if self.snr_h_db > 200:
             raise ValueError("harmonic-mean SNR is implausibly large")
-        if db_to_linear(self.snr_h_db) <= 0.0:  # 10 ** (-400) is 0.0
-            raise ValueError(f"harmonic-mean SNR {self.snr_h_db} dB underflows to 0")
         for n in self.array_sizes:
             for c in self.connectivities:
                 edge_budget(n, c)
             if self.layout.kind == "file":  # the file's shape, before any trial
                 draw_layout(self.layout, n, rng=None)
+        snr_h, span = db_to_linear(self.snr_h_db), self.layout.span_m()
         for b in self.bandwidths_hz:
             check_waveform(b, self.pulse_s, self.sample_rate_hz, self.rise_fall_s)
-            if not self.noiseless and b == 0:
+            if self.noiseless:
+                continue
+            if b == 0:
                 raise ValueError("noisy ranging needs a nonzero tone separation")
+            # A range error wider than the whole array leaves no geometry to
+            # recover; far enough below, the trial's arithmetic overflows.
+            if snr_h == 0.0 or crlb_sigma_d(
+                b, self.pulse_s, snr_h, self.sample_rate_hz
+            ) > span:
+                raise ValueError(
+                    f"snr_h_db {self.snr_h_db} gives a range-error bound above "
+                    f"the layout's {span:g} m span at {b:g} Hz tone separation"
+                )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -209,7 +235,8 @@ class TrialRecord:
     final_evm_rms_m: float
     generations_used: int
     stop_reason: str  # as SolverRun's; records.csv keeps only `converged`
-    wall_time_s: float  # informational; never written to CSV
+    evaluations: int  # as SolverRun's; never written to CSV
+    wall_time_s: float  # informational, a group's share; never written to CSV
 
     converged = SolverRun.converged
 
@@ -260,7 +287,8 @@ def _alignments(
     return [align_and_evm(NodeLayout(c.T), truth) for c in coords]
 
 
-def _run_trial(task: _TrialTask) -> TrialRecord:
+def _trial_inputs(task: _TrialTask):
+    """The trial's truth, mask, observed matrix and solver stream."""
     cfg = task.cfg
     rng_layout, rng_mask, rng_noise, rng_solver = _trial_streams(
         cfg.seed, task.counter
@@ -277,10 +305,11 @@ def _run_trial(task: _TrialTask) -> TrialRecord:
         statistical = cfg.ranging_mode == "statistical"
         sample = sample_edm_statistical if statistical else _signal_level_edm
         observed = sample(layout, mask, snr_h, waveform, rng_noise)
+    return layout, mask, observed, rng_solver
 
-    started = time.perf_counter()
-    run = complete_and_localize(observed, mask, 2, cfg.solver, rng_solver)
-    wall = time.perf_counter() - started
+
+def _trial_record(task: _TrialTask, inputs, run: SolverRun, wall: float) -> TrialRecord:
+    layout, mask, observed, _ = inputs
     alignments = _alignments(run, observed, mask, layout)
     return TrialRecord(
         trial_id=task.trial_id,
@@ -295,8 +324,38 @@ def _run_trial(task: _TrialTask) -> TrialRecord:
         final_evm_rms_m=alignments[-1].evm_rms,
         generations_used=run.generations_used,
         stop_reason=run.stop_reason,
+        evaluations=run.evaluations,
         wall_time_s=wall,
     )
+
+
+def _run_trial(task: _TrialTask) -> TrialRecord:
+    inputs = _trial_inputs(task)
+    _, mask, observed, rng = inputs
+    started = time.perf_counter()
+    run = complete_and_localize(observed, mask, 2, task.cfg.solver, rng)
+    return _trial_record(task, inputs, run, time.perf_counter() - started)
+
+
+def _run_group(tasks: list[_TrialTask]) -> list[TrialRecord]:
+    """Trials of one sweep point, their searches run in lockstep."""
+    if len(tasks) == 1:
+        return [_run_trial(tasks[0])]
+    inputs = [_trial_inputs(task) for task in tasks]
+    _, masks, observed, rngs = zip(*inputs)
+    started = time.perf_counter()
+    runs = complete_and_localize_group(observed, masks, 2, tasks[0].cfg.solver, rngs)
+    share = (time.perf_counter() - started) / len(tasks)
+    return [_trial_record(*args, share) for args in zip(tasks, inputs, runs)]
+
+
+def _group_size(n: int, cfg: ExperimentConfig) -> int:
+    """Trials per lockstep group at n nodes: within LOCKSTEP_GRAM_BUDGET,
+    and at most ceil(trials / workers), so that a pool's workers share a
+    point's trials about evenly."""
+    per_trial = cfg.solver.rows_per_generation * n * n
+    by_workers = math.ceil(cfg.trials / cfg.workers)
+    return max(1, min(LOCKSTEP_GRAM_BUDGET // per_trial, by_workers))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -304,21 +363,25 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     The per-trial counter restarts at each sweep point, so sweep points
     sharing an array size also share layouts and noise draws; comparisons
-    across connectivity or bandwidth are paired by construction.
+    across connectivity or bandwidth are paired by construction.  Each
+    point's trials run in consecutive lockstep groups (``_group_size``),
+    which changes no bit of any trial.
     """
-    grid = product(
-        cfg.array_sizes, cfg.connectivities, cfg.bandwidths_hz, range(cfg.trials)
-    )
-    tasks = [_TrialTask(k, t, n, c, b, cfg) for k, (n, c, b, t) in enumerate(grid)]
+    groups = []
+    points = product(cfg.array_sizes, cfg.connectivities, cfg.bandwidths_hz)
+    for k, (n, c, b) in enumerate(points):
+        first, size = k * cfg.trials, _group_size(n, cfg)
+        tasks = [_TrialTask(first + t, t, n, c, b, cfg) for t in range(cfg.trials)]
+        groups += [tasks[i : i + size] for i in range(0, cfg.trials, size)]
     # The pool starts all its workers at the first submit, so it gets no
-    # more of them than there are trials.
-    workers = min(cfg.workers, len(tasks))
+    # more of them than there are groups.
+    workers = min(cfg.workers, len(groups))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, tasks, chunksize=4))
+            done = list(pool.map(_run_group, groups))
     else:
-        records = [_run_trial(task) for task in tasks]
-    return records
+        done = [_run_group(group) for group in groups]
+    return [record for group in done for record in group]
 
 
 def summarize(records: list[TrialRecord]) -> list[dict]:

@@ -16,12 +16,17 @@ DE/rand/1/bin evolves a population of candidates; the best-ranked parents
 breed several offspring each, survivors are chosen by rank from parents and
 offspring together, and the rest of the population is replaced by fresh
 random immigrants each generation to keep exploring.
+
+Several trials can run in lockstep: each keeps its own random stream,
+selection and stall test, and one batch per generation scores the
+candidates of every trial still running.  A row's cost depends on that row
+alone, so a trial's run is the same bits alone or in any group.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,6 +77,18 @@ class SolverConfig:
         if not 0.0 < self.parent_fraction <= 1.0:
             raise ValueError("parent fraction must lie in (0, 1]")
 
+    @property
+    def parents(self) -> int:
+        """Survivors per generation: the parent fraction, at least 4."""
+        pop = self.population_size
+        return min(pop, max(4, round(self.parent_fraction * pop)))
+
+    @property
+    def rows_per_generation(self) -> int:
+        """Candidates scored per generation after the first: offspring and
+        immigrants, never fewer than the first generation's population."""
+        return OFFSPRING_PER_PARENT * self.parents + self.population_size - self.parents
+
 
 @dataclass
 class SolverRun:
@@ -80,6 +97,7 @@ class SolverRun:
     generations_used: int
     stop_reason: str  # "stalled", "max_generations" or "complete_mask"
     recovered_layout: NodeLayout
+    evaluations: int  # candidate costs computed, the first population's included
 
     @property
     def converged(self) -> bool:
@@ -89,21 +107,30 @@ class SolverRun:
 
 @dataclass(frozen=True)
 class _CostTerms:
-    """The parts of the cost that depend on the trial only, not on a candidate."""
+    """The parts of the cost that depend on the trial only, not on a candidate.
+
+    ``stack`` puts the terms of T trials of one shape on a leading axis.
+    """
 
     basis: np.ndarray  # (1 + n_missing, N, N): G_0, then B_k per missing pair
     rows: np.ndarray  # measured pairs i < j
     cols: np.ndarray
     target: np.ndarray  # (d_ij + d_ji) / 2 at those pairs
 
+    @classmethod
+    def stack(cls, terms: list[_CostTerms]) -> _CostTerms:
+        names = [f.name for f in fields(cls)]
+        return cls(*(np.stack([getattr(t, name) for t in terms]) for name in names))
+
 
 @dataclass(frozen=True)
 class _Workspace:
     """Every per-generation array of ``_batched_costs``, for up to P rows.
 
-    ``complete_and_localize`` allocates one per trial, so no generation
-    faults its working set back in; a batch of p rows uses the leading p
-    rows of each buffer.  Nothing ``_batched_costs`` returns points into it.
+    The solver allocates one per group of trials, so no generation faults
+    its working set back in; a batch of p rows, over all its trials, uses
+    the leading p rows of each buffer.  Nothing ``_batched_costs`` returns
+    points into it.
     """
 
     coeffs: np.ndarray  # (P, 1, K): 1, then a candidate's missing values
@@ -114,15 +141,16 @@ class _Workspace:
 
     @classmethod
     def allocate(cls, rows: int, terms: _CostTerms, m: int) -> _Workspace:
-        k, n, _ = terms.basis.shape
+        k, n, _ = terms.basis.shape[-3:]
+        pairs = terms.rows.shape[-1]
         coeffs = np.empty((rows, 1, k))
         coeffs[:, 0, 0] = 1.0
         return cls(
             coeffs=coeffs,
             grams=np.empty((rows, n, n)),
             powers=np.empty((3, rows, n, n)),
-            gaps=np.empty((2, rows, m, terms.rows.size)),
-            residual=np.empty((rows, terms.rows.size)),
+            gaps=np.empty((2, rows, m, pairs)),
+            residual=np.empty((rows, pairs)),
         )
 
 
@@ -151,40 +179,60 @@ def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
 
 
 def _grams(vectors: np.ndarray, terms: _CostTerms, work: _Workspace) -> np.ndarray:
-    """G_0 + sum_k p_k B_k for each candidate row p of ``vectors``, in ``work``."""
-    p = vectors.shape[0]
-    k, n, _ = terms.basis.shape
-    coeffs, grams = work.coeffs[:p], work.grams[:p]
-    coeffs[:, 0, 1:] = vectors
+    """G_0 + sum_k p_k B_k for each candidate row p of ``vectors``, in ``work``.
+
+    ``vectors`` is (P, K) for one trial's terms or (T, P, K) for T stacked
+    trials; the Gram matrices come back as one (T P, N, N) stack.
+    """
+    *trials, p, n_vars = vectors.shape
+    k, n, _ = terms.basis.shape[-3:]
+    rows = math.prod(vectors.shape[:-1])
+    coeffs, grams = work.coeffs[:rows], work.grams[:rows]
+    coeffs[:, 0, 1:] = vectors.reshape(rows, n_vars)
     # One (1, K) @ (K, N^2) product per row keeps each row's sums in one
-    # order whatever the batch size, which a single gemm over the batch
-    # does not.  Every basis matrix is exactly symmetric, so entries (i, j)
-    # and (j, i) of G are sums of the same numbers, and G comes out exactly
-    # symmetric, as the G^8 steps and eigh's one-triangle read require.
-    np.matmul(coeffs, terms.basis.reshape(k, n * n), out=grams.reshape(p, 1, n * n))
+    # order whatever the batch size or its trials, which a single gemm over
+    # the batch does not.  Every basis matrix is exactly symmetric, so
+    # entries (i, j) and (j, i) of G are sums of the same numbers, and G
+    # comes out exactly symmetric, as the G^8 steps and eigh's one-triangle
+    # read require.
+    np.matmul(
+        coeffs.reshape(*trials, p, 1, k),
+        terms.basis.reshape(*trials, 1, k, n * n),
+        out=grams.reshape(*trials, p, 1, n * n),
+    )
     return grams
 
 
 def _batched_costs(
     vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None
 ) -> np.ndarray:
-    """The cost of each candidate row; ``work`` defaults to fresh buffers."""
-    p = vectors.shape[0]
-    work = _Workspace.allocate(p, terms, m) if work is None else work
-    _, coords = embed_gram(_grams(vectors, terms, work), m, work.powers[:, :p])
+    """The cost of each candidate row; ``work`` defaults to fresh buffers.
+
+    ``vectors`` is (P, K) for one trial's terms, giving (P,) costs, or
+    (T, P, K) for T trials' stacked terms, giving (T, P).
+    """
+    shape = vectors.shape[:-1]
+    rows = math.prod(shape)
+    work = _Workspace.allocate(rows, terms, m) if work is None else work
+    _, coords = embed_gram(_grams(vectors, terms, work), m, work.powers[:, :rows])
     # np.take gathers each end of the measured pairs into a C-ordered
-    # (P, m, L) block of the workspace; coords[:, rows] would be strided,
-    # and a row's sum over a strided gather depends on the batch size.
-    # mode="clip" writes straight into the block ("raise" would buffer),
-    # and every index is in range, so it clips nothing.
+    # (P, m, L) block of the workspace, one trial at a time; coords[:, rows]
+    # would be strided, and a row's sum over a strided gather depends on
+    # the batch size.  mode="clip" writes straight into the block ("raise"
+    # would buffer), and every index is in range, so it clips nothing.
     axes = coords.transpose(0, 2, 1)
-    gap, other = work.gaps[:, :p]
-    np.take(axes, terms.rows, axis=2, out=gap, mode="clip")
-    np.take(axes, terms.cols, axis=2, out=other, mode="clip")
+    gap, other = work.gaps[:, :rows]
+    pairs, p = gap.shape[-1], shape[-1]
+    ends = zip(terms.rows.reshape(-1, pairs), terms.cols.reshape(-1, pairs))
+    for t, (i, j) in enumerate(ends):
+        block = slice(t * p, (t + 1) * p)
+        np.take(axes[block], i, axis=2, out=gap[block], mode="clip")
+        np.take(axes[block], j, axis=2, out=other[block], mode="clip")
     np.subtract(gap, other, out=gap)
-    residual = np.sum(np.multiply(gap, gap, out=gap), axis=1, out=work.residual[:p])
-    np.subtract(terms.target, residual, out=residual)
-    return np.sum(np.multiply(residual, residual, out=residual), axis=1)
+    residual = np.sum(np.multiply(gap, gap, out=gap), axis=1, out=work.residual[:rows])
+    residual = residual.reshape(*shape, -1)
+    np.subtract(terms.target[..., None, :], residual, out=residual)
+    return np.sum(np.multiply(residual, residual, out=residual), axis=-1)
 
 
 def evaluate_cost(
@@ -231,6 +279,140 @@ def _geodesic_upper_bounds(
     return bounds
 
 
+class _Search:
+    """One trial's DE state: its population, random stream and histories."""
+
+    def __init__(self, observed: Edm, mask: AdjacencyMask, m: int,
+                 config: SolverConfig, rng: np.random.Generator) -> None:
+        _check_masks(observed, mask)
+        if not is_completable(mask, m):
+            raise CompletabilityError(
+                "observation mask cannot anchor every node in the array"
+            )
+        self.observed, self.mask, self.config, self.rng = observed, mask, config, rng
+        pair_idx = mask.missing_indices()
+        self.terms = _cost_terms(observed, mask)
+        bounds = _geodesic_upper_bounds(observed, mask, pair_idx)
+        self.upper = np.maximum(bounds, 1e-12)
+        self.population = self.upper * rng.random((config.population_size, bounds.size))
+        self.n_parents = config.parents
+        # Offspring k breeds on parent k mod n_parents.
+        self.targets = np.tile(np.arange(self.n_parents), OFFSPRING_PER_PARENT)
+        self.cost_history: list[float] = []
+        self.vector_history: list[np.ndarray] = []
+        self.stop_reason = None if bounds.size else "complete_mask"  # nothing to evolve
+        self.evaluations = 0
+
+    def start(self, costs: np.ndarray) -> None:
+        """Take the first population's costs."""
+        self.costs = costs
+        self.evaluations += costs.size
+        best = int(np.argmin(costs))
+        self._record(float(costs[best]), self.population[best].copy())
+
+    def breed(self, out: np.ndarray) -> None:
+        """Write this generation's children, then its immigrants, into ``out``."""
+        rng, upper, targets = self.rng, self.upper, self.targets
+        n_parents, n_kids, n_vars = self.n_parents, targets.size, upper.size
+        order = np.argsort(self.costs, kind="stable")
+        parents = self.parents = self.population[order[:n_parents]]
+        self.parent_costs = self.costs[order[:n_parents]]
+        # DE/rand/1/bin among the parents, several offspring per parent.
+        # Donor triples exclude the target but are otherwise uniform.
+        keys = rng.random((n_kids, n_parents))
+        keys[np.arange(n_kids), targets] = 2.0
+        donor_idx = _smallest_columns(keys, 3)
+        a, b, c = (parents[donor_idx[:, k]] for k in range(3))
+        donors = a + DIFFERENTIAL_WEIGHT * (b - c)
+        cross = rng.random((n_kids, n_vars)) < CROSSOVER_RATE
+        forced = rng.integers(0, n_vars, size=n_kids)
+        cross[np.arange(n_kids), forced] = True
+        target_vecs = parents[targets]
+        children = np.where(cross, donors, target_vecs)
+        # Out-of-bounds coordinates restart halfway between the target and
+        # the violated bound.  Hard clipping would pile many individuals
+        # onto identical boundary values and bleed diversity.
+        children = np.where(children < 0.0, 0.5 * target_vecs, children)
+        out[:n_kids] = np.where(children > upper, 0.5 * (target_vecs + upper), children)
+        # The culled share of the population immigrates uniformly at random.
+        # No draw depends on a cost, so children and immigrants are scored
+        # in one batch.
+        out[n_kids:] = upper * rng.random((len(out) - n_kids, n_vars))
+
+    def select(self, candidates: np.ndarray, scored: np.ndarray) -> None:
+        """Rank parents and children together; immigrants join the survivors."""
+        self.evaluations += scored.size
+        n_kids = self.targets.size
+        children, immigrants = candidates[:n_kids], candidates[n_kids:]
+        # The best so far heads the parents, and the stable sort keeps it
+        # ahead of any child that only ties it: survivors[0] is the new
+        # best so far.
+        pool = np.vstack([self.parents, children])
+        pool_costs = np.concatenate([self.parent_costs, scored[:n_kids]])
+        keep = np.argsort(pool_costs, kind="stable")[: self.n_parents]
+        survivors = pool[keep]
+        survivor_costs = pool_costs[keep]
+        self.population = np.vstack([survivors, immigrants])
+        self.costs = np.concatenate([survivor_costs, scored[n_kids:]])
+        self._record(float(survivor_costs[0]), survivors[0].copy())
+
+    def _record(self, cost: float, vector: np.ndarray) -> None:
+        history = self.cost_history
+        history.append(cost)
+        self.vector_history.append(vector)
+        g = len(history) - 1
+        if g >= STALL_WINDOW:
+            # Fractional improvement per generation, averaged over the
+            # window.  An absolute test would halt mid-descent at whatever
+            # scale matches the threshold; stalling is scale-free.
+            ref = history[g - STALL_WINDOW]
+            if (ref - history[g]) / STALL_WINDOW <= STALL_DELTA * max(ref, 1e-300):
+                self.stop_reason = "stalled"
+        if self.stop_reason is None and len(history) >= self.config.max_generations:
+            self.stop_reason = "max_generations"
+
+    def result(self, m: int) -> SolverRun:
+        filled = self.mask.filled(self.observed.entries, self.vector_history[-1])
+        return SolverRun(
+            best_cost_history=np.array(self.cost_history),
+            best_vector_history=np.array(self.vector_history),
+            generations_used=len(self.cost_history),
+            stop_reason=self.stop_reason,
+            recovered_layout=classical_mds(Edm(filled), m),
+            evaluations=self.evaluations,
+        )
+
+
+def _evolve(searches: list[_Search], m: int, config: SolverConfig) -> None:
+    """Run every search to its stop, a generation at a time in lockstep.
+
+    Searches whose cost terms share a shape score their candidates in one
+    batch per generation; a search leaves the batch when it stops.
+    """
+    cohorts: dict[tuple, list[_Search]] = {}
+    for search in searches:
+        cohorts.setdefault(search.terms.basis.shape, []).append(search)
+    width = config.rows_per_generation
+    for cohort in cohorts.values():
+        terms = _CostTerms.stack([s.terms for s in cohort])
+        work = _Workspace.allocate(len(cohort) * width, terms, m)
+        population = np.stack([s.population for s in cohort])
+        for search, costs in zip(cohort, _batched_costs(population, terms, m, work)):
+            search.start(costs)
+        # One candidate buffer for the whole run, like the workspace: a
+        # fresh one each generation would fault its pages back in.
+        buffer = np.empty((len(cohort), width, cohort[0].upper.size))
+        while live := [s for s in cohort if s.stop_reason is None]:
+            if len(live) < len(terms.rows):
+                terms = _CostTerms.stack([s.terms for s in live])
+            candidates = buffer[: len(live)]
+            for search, out in zip(live, candidates):
+                search.breed(out)
+            scored = _batched_costs(candidates, terms, m, work)
+            for search, out, costs in zip(live, candidates, scored):
+                search.select(out, costs)
+
+
 def complete_and_localize(
     observed: Edm,
     mask: AdjacencyMask,
@@ -252,88 +434,29 @@ def complete_and_localize(
         SolverRun with per-generation best-so-far history.  The best cost
         never rises: the incumbent individual survives every generation.
     """
-    _check_masks(observed, mask)
-    config = config or SolverConfig()
     rng = np.random.default_rng(0) if rng is None else rng
-    if not is_completable(mask, m):
-        raise CompletabilityError(
-            "observation mask cannot anchor every node in the array"
-        )
-    pair_idx = mask.missing_indices()
-    terms = _cost_terms(observed, mask)
-    n_vars = pair_idx[0].size
+    (run,) = complete_and_localize_group([observed], [mask], m, config, [rng])
+    return run
 
-    upper = np.maximum(_geodesic_upper_bounds(observed, mask, pair_idx), 1e-12)
 
-    pop_size = config.population_size
-    n_parents = min(pop_size, max(4, round(config.parent_fraction * pop_size)))
-    population = upper * rng.random((pop_size, n_vars))
-    n_kids = OFFSPRING_PER_PARENT * n_parents
-    # A generation scores n_kids + pop_size - n_parents rows, at least the
-    # first population's pop_size.
-    work = _Workspace.allocate(n_kids + pop_size - n_parents, terms, m)
-    costs = _batched_costs(population, terms, m, work)
+def complete_and_localize_group(
+    observed: list[Edm],
+    masks: list[AdjacencyMask],
+    m: int,
+    config: SolverConfig | None,
+    rngs: list[np.random.Generator],
+) -> list[SolverRun]:
+    """``complete_and_localize`` on each (matrix, mask, rng), run in lockstep.
 
-    best_idx = int(np.argmin(costs))
-    cost_history = [float(costs[best_idx])]
-    vector_history = [population[best_idx].copy()]
-    stop_reason = None if n_vars else "complete_mask"  # nothing to evolve
-
-    targets = np.tile(np.arange(n_parents), OFFSPRING_PER_PARENT)
-    while stop_reason is None and len(cost_history) < config.max_generations:
-        order = np.argsort(costs, kind="stable")
-        parents = population[order[:n_parents]]
-        parent_costs = costs[order[:n_parents]]
-        # DE/rand/1/bin among the parents, several offspring per parent.
-        # Donor triples exclude the target but are otherwise uniform.
-        keys = rng.random((n_kids, n_parents))
-        keys[np.arange(n_kids), targets] = 2.0
-        donor_idx = _smallest_columns(keys, 3)
-        a, b, c = (parents[donor_idx[:, k]] for k in range(3))
-        donors = a + DIFFERENTIAL_WEIGHT * (b - c)
-        cross = rng.random((n_kids, n_vars)) < CROSSOVER_RATE
-        forced = rng.integers(0, n_vars, size=n_kids)
-        cross[np.arange(n_kids), forced] = True
-        target_vecs = parents[targets]
-        children = np.where(cross, donors, target_vecs)
-        # Out-of-bounds coordinates restart halfway between the target and
-        # the violated bound.  Hard clipping would pile many individuals
-        # onto identical boundary values and bleed diversity.
-        children = np.where(children < 0.0, 0.5 * target_vecs, children)
-        children = np.where(children > upper, 0.5 * (target_vecs + upper), children)
-        # The culled share of the population immigrates uniformly at random.
-        # No draw depends on a cost, so children and immigrants are scored
-        # in one batch.
-        immigrants = upper * rng.random((pop_size - n_parents, n_vars))
-        scored = _batched_costs(np.vstack([children, immigrants]), terms, m, work)
-        child_costs, immigrant_costs = scored[:n_kids], scored[n_kids:]
-        # Rank selection over parents and children together.  The best so
-        # far heads the parents, and the stable sort keeps it ahead of any
-        # child that only ties it: survivors[0] is the new best so far.
-        pool = np.vstack([parents, children])
-        pool_costs = np.concatenate([parent_costs, child_costs])
-        keep = np.argsort(pool_costs, kind="stable")[:n_parents]
-        survivors = pool[keep]
-        survivor_costs = pool_costs[keep]
-        population = np.vstack([survivors, immigrants])
-        costs = np.concatenate([survivor_costs, immigrant_costs])
-        cost_history.append(float(survivor_costs[0]))
-        vector_history.append(survivors[0].copy())
-        g = len(cost_history) - 1
-        if g >= STALL_WINDOW:
-            # Fractional improvement per generation, averaged over the
-            # window.  An absolute test would halt mid-descent at whatever
-            # scale matches the threshold; stalling is scale-free.
-            ref = cost_history[g - STALL_WINDOW]
-            mean_drop = (ref - cost_history[g]) / STALL_WINDOW
-            if mean_drop <= STALL_DELTA * max(ref, 1e-300):
-                stop_reason = "stalled"
-
-    layout = classical_mds(Edm(mask.filled(observed.entries, vector_history[-1])), m)
-    return SolverRun(
-        best_cost_history=np.array(cost_history),
-        best_vector_history=np.array(vector_history),
-        generations_used=len(cost_history),
-        stop_reason=stop_reason or "max_generations",
-        recovered_layout=layout,
-    )
+    Each run is bit for bit the one ``complete_and_localize`` gives alone;
+    the group only shares each generation's cost batch, which saves NumPy's
+    per-call overhead on small arrays.
+    """
+    config = config or SolverConfig()
+    if not len(observed) == len(masks) == len(rngs):
+        raise ValueError("need one mask and one generator per matrix")
+    searches = [
+        _Search(o, mask, m, config, rng) for o, mask, rng in zip(observed, masks, rngs)
+    ]
+    _evolve(searches, m, config)
+    return [search.result(m) for search in searches]

@@ -143,7 +143,8 @@ def test_localize_seed_seeds_the_solver_generator(tmp_path, capsys):
         f"cost={float(run.best_cost_history[-1])!r} "
         f"generations={run.generations_used} "
         f"converged={'true' if run.converged else 'false'} "
-        f"stop={run.stop_reason}\n"
+        f"stop={run.stop_reason} "
+        f"evaluations={run.evaluations}\n"
     )
 
 
@@ -287,6 +288,13 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         {"dim": 2},
         {"solver": {"convergence_delta": 1e-4}},
         {"solver": {"parent_fraction": True}},
+        {"snr_h_db": -3200},
+        {"snr_h_db": -400},
+        # -40 dB passes at 40 MHz in the default 5 m box (floor about
+        # -45 dB), but not at 10 MHz (about -33 dB) nor on a 1 m ring
+        # (about -35 dB).
+        {"snr_h_db": -40, "bandwidths_hz": [40e6, 10e6]},
+        {"snr_h_db": -40, "layout": {"kind": "circle"}},
     ],
     ids=[
         "solver-key", "layout-key", "float-trials", "float-population",
@@ -295,7 +303,8 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         "string-noiseless", "bool-connectivity", "bool-snr", "bool-crossover",
         "bool-extent", "repeated-size", "retired-signal-level-cap",
         "underflowing-snr", "retired-dim", "retired-solver-constant",
-        "bool-parent-fraction",
+        "bool-parent-fraction", "snr-that-overflows", "snr-far-below-the-floor",
+        "snr-below-the-floor-at-one-bandwidth", "snr-below-the-floor-of-a-ring",
     ],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):

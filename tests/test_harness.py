@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from arrayloc.evaluation import align_and_evm, max_beamform_freq
 from arrayloc.geometry import (
+    AdjacencyMask,
     NodeLayout,
     edge_budget,
+    edm_from_points,
+    mask_edm,
     max_edges,
     min_edges,
     random_completable_mask,
@@ -31,6 +34,7 @@ from arrayloc.harness import (
     summarize,
     write_outputs,
 )
+from arrayloc.solver import SolverConfig, complete_and_localize
 
 
 def _tiny_config(**overrides) -> ExperimentConfig:
@@ -60,6 +64,7 @@ def _record(final_evm_m: float, **overrides) -> TrialRecord:
         final_evm_rms_m=final_evm_m,
         generations_used=1,
         stop_reason="stalled",
+        evaluations=200,
         wall_time_s=0.0,
     )
     base.update(overrides)
@@ -104,6 +109,25 @@ def test_config_rejects_bad_values():
         ExperimentConfig(seed=False)
     with pytest.raises(ValueError):
         ExperimentConfig(pulse_s=float("inf"))
+
+
+def test_the_snr_floor_is_the_range_error_bound_at_the_layout_span(tmp_path):
+    # The bound at snr_h_db may not exceed the largest distance two nodes
+    # can lie apart: about -45.5 dB at 40 MHz in the default 5 m box.
+    path = tmp_path / "layout.csv"
+    write_layout_csv(path, NodeLayout(np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])))
+    spans = [
+        (LayoutSpec(), 5.0 * np.sqrt(2.0)),
+        (LayoutSpec(kind="circle"), 2.2),
+        (LayoutSpec(kind="file", path=str(path)), 5.0),
+    ]
+    for spec, span in spans:
+        assert spec.span_m() == pytest.approx(span, rel=1e-12)
+    assert ExperimentConfig(snr_h_db=-45.4).snr_h_db == -45.4
+    with pytest.raises(ValueError, match="range-error bound"):
+        ExperimentConfig(snr_h_db=-45.5)
+    # Noiseless trials draw no range error, so no SNR is too low for them.
+    assert ExperimentConfig(snr_h_db=-4000, noiseless=True).noiseless
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,11 +373,9 @@ def test_pool_gets_no_more_workers_than_trials(monkeypatch):
     assert started == [2]  # one trial runs serially
 
 
-def test_signal_level_beyond_8_nodes_matches_serial_with_workers(tmp_path):
-    # Criterion 10's property for a signal-level sweep the retired 8-node cap
-    # used to refuse.  summary.json echoes the config, workers included.
-    base = dict(array_sizes=[10], connectivities=[0.9], bandwidths_hz=[40e6],
-                trials=4, seed=11, ranging_mode="signal_level")
+def _assert_workers_match_serial(tmp_path, base: dict) -> None:
+    # Criterion 10's property across worker counts.  summary.json echoes
+    # the config, workers included.
     outs = []
     for workers in (1, 2):
         cfg = ExperimentConfig(**base, workers=workers)
@@ -363,6 +385,53 @@ def test_signal_level_beyond_8_nodes_matches_serial_with_workers(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     serial, parallel = ((out / "summary.json").read_text() for out in outs)
     assert parallel == serial.replace('"workers": 1', '"workers": 2')
+
+
+def test_signal_level_beyond_8_nodes_matches_serial_with_workers(tmp_path):
+    # A signal-level sweep the retired 8-node cap used to refuse.
+    _assert_workers_match_serial(
+        tmp_path, dict(array_sizes=[10], connectivities=[0.9], bandwidths_hz=[40e6],
+                       trials=4, seed=11, ranging_mode="signal_level"),
+    )
+
+
+def test_lockstep_groups_match_serial_with_workers(tmp_path, monkeypatch):
+    # Four 6-node trials run as groups of 3 and 1 serially and as two
+    # groups of 2 with two workers; alone, each trial gives the same bits.
+    base = dict(array_sizes=[6], connectivities=[0.8], bandwidths_hz=[40e6],
+                trials=4, seed=11, layout=LayoutSpec(kind="circle"))
+    cfg = ExperimentConfig(**base)
+    by_workers = [dataclasses.replace(cfg, workers=w) for w in (1, 2)]
+    assert [harness._group_size(6, c) for c in by_workers] == [3, 2]
+    _assert_workers_match_serial(tmp_path, base)
+    grouped = run_experiment(cfg)
+    monkeypatch.setattr(harness, "LOCKSTEP_GRAM_BUDGET", 0)  # every group of one
+    alone = run_experiment(cfg)
+    assert [r.stop_reason for r in grouped] == [r.stop_reason for r in alone]
+    assert [r.evaluations for r in grouped] == [r.evaluations for r in alone]
+    for a, b in zip(grouped, alone):
+        assert a.cost_history.tobytes() == b.cost_history.tobytes()
+        assert a.evm_history.tobytes() == b.evm_history.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, trials, workers, population, size",
+    [
+        (6, 250, 1, 200, 3),  # the budget: three 6-node trials at 400 rows each
+        (7, 250, 1, 200, 2),
+        (8, 250, 1, 200, 1),  # one trial from 8 nodes up
+        (15, 250, 1, 200, 1),
+        (6, 250, 1, 20, 30),  # 40 rows per generation: ten times the trials
+        (6, 2, 1, 200, 2),  # no more than the point's trials
+        (6, 10, 4, 200, 3),
+        (6, 10, 8, 200, 2),  # at most ceil(trials / workers)
+        (6, 2, 64, 200, 1),
+    ],
+)
+def test_group_size_rule(n, trials, workers, population, size):
+    cfg = ExperimentConfig(array_sizes=[n], trials=trials, workers=workers,
+                           solver=SolverConfig(population_size=population))
+    assert harness._group_size(n, cfg) == size
 
 
 def test_signal_level_smoke_run():
@@ -460,10 +529,11 @@ def test_output_csv_bytes(tmp_path):
     )
 
 
-def _recording(fn, results: list):
+def _recording(fn, results: list, many: bool = False):
     def record(*args):
-        results.append(fn(*args))
-        return results[-1]
+        result = fn(*args)
+        results.extend(result) if many else results.append(result)
+        return result
 
     return record
 
@@ -471,8 +541,15 @@ def _recording(fn, results: list):
 def test_evm_replay_ends_at_the_final_layout(monkeypatch):
     # The per-generation EVM replay and the recovered layout come from the
     # same MDS core, so the last replayed alignment is the solver's final
-    # layout aligned onto the truth, bit for bit, in every ranging mode.
-    layouts, runs = [], []
+    # layout aligned onto the truth, bit for bit, in every ranging mode,
+    # for trials run alone and in lockstep groups alike.
+    layouts, runs, group_sizes = [], [], []
+    group = harness.complete_and_localize_group
+
+    def sized_group(observed, *rest):
+        group_sizes.append(len(observed))
+        return group(observed, *rest)
+
     monkeypatch.setattr(
         harness, "draw_layout", _recording(harness.draw_layout, layouts)
     )
@@ -480,6 +557,9 @@ def test_evm_replay_ends_at_the_final_layout(monkeypatch):
         harness,
         "complete_and_localize",
         _recording(harness.complete_and_localize, runs),
+    )
+    monkeypatch.setattr(
+        harness, "complete_and_localize_group", _recording(sized_group, runs, many=True)
     )
     sizes = dict(array_sizes=[6, 8], trials=3)
     sweeps = [
@@ -492,7 +572,9 @@ def test_evm_replay_ends_at_the_final_layout(monkeypatch):
     for overrides in sweeps:
         layouts.clear()
         runs.clear()
+        group_sizes.clear()
         records = run_experiment(_tiny_config(**overrides))
+        assert min(group_sizes) > 1  # 6-node trials run in groups, 8-node ones alone
         assert len(records) == len(layouts) == len(runs)
         for rec, layout, run in zip(records, layouts, runs):
             final = align_and_evm(run.recovered_layout, layout)
@@ -541,3 +623,26 @@ def test_tracer_reads_what_the_solver_returns(tmp_path):
     assert span["generations"] == records[0].generations_used
     for name in ("records", "convergence"):
         assert traced[name].read_bytes() == plain[name].read_bytes()
+
+
+def test_the_solver_counts_the_evaluations_the_tracer_computes():
+    # perfbench computes a run's cost evaluations from its generation count;
+    # the solver counts them as it scores.  A stalled run, a capped one with
+    # a parent count held at its floor of 4, and a complete mask.
+    tracing = _perfbench_tracing()
+    rng = np.random.default_rng(1)
+    layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 6)))
+    cases = [
+        (random_completable_mask(6, 0.8, rng), SolverConfig(), "stalled"),
+        (
+            random_completable_mask(6, 0.8, rng),
+            SolverConfig(population_size=30, max_generations=4, parent_fraction=0.1),
+            "max_generations",
+        ),
+        (AdjacencyMask.complete(6), SolverConfig(), "complete_mask"),
+    ]
+    for mask, cfg, reason in cases:
+        observed = mask_edm(edm_from_points(layout), mask)
+        run = complete_and_localize(observed, mask, 2, cfg, np.random.default_rng(1))
+        assert run.stop_reason == reason
+        assert run.evaluations == tracing.evaluations(run.generations_used, cfg)

@@ -37,6 +37,7 @@ from arrayloc.solver import (
     _grams,
     _smallest_columns,
     complete_and_localize,
+    complete_and_localize_group,
     evaluate_cost,
 )
 
@@ -514,6 +515,40 @@ def test_a_noiseless_run_stops_stalled():
     )
     assert capped.stop_reason == "stalled"
     assert np.array_equal(capped.best_cost_history, run.best_cost_history)
+
+
+def test_a_group_runs_each_trial_as_it_runs_alone(wave40):
+    # Trials leave the lockstep batch at different generations: one with a
+    # complete mask at once (a batch of its own shape), three on the stall
+    # test, one of them on the last generation the cap allows, and one at
+    # the cap.  Every run must be the one the trial gives alone.
+    config = SolverConfig(max_generations=30)
+    seeds, observed, masks = [0, 1, 4, 3, 2], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 6)))
+        masks.append(random_completable_mask(6, 1.0 if seed == 1 else 0.8, rng))
+        observed.append(
+            sample_edm_statistical(layout, masks[-1], db_to_linear(34.0), wave40, rng)
+        )
+    group = complete_and_localize_group(
+        observed, masks, 2, config, [np.random.default_rng(s) for s in seeds]
+    )
+    assert [(run.generations_used, run.stop_reason) for run in group] == [
+        (30, "max_generations"), (1, "complete_mask"), (14, "stalled"),
+        (30, "stalled"), (27, "stalled"),
+    ]
+    for run, o, mask, seed in zip(group, observed, masks, seeds):
+        alone = complete_and_localize(o, mask, 2, config, np.random.default_rng(seed))
+        for name in ("best_cost_history", "best_vector_history"):
+            assert getattr(run, name).tobytes() == getattr(alone, name).tobytes()
+        layouts = run.recovered_layout, alone.recovered_layout
+        assert layouts[0].coords.tobytes() == layouts[1].coords.tobytes()
+        assert (run.generations_used, run.stop_reason, run.evaluations) == (
+            alone.generations_used, alone.stop_reason, alone.evaluations
+        )
+    with pytest.raises(ValueError):
+        complete_and_localize_group(observed[:2], masks, 2, config, seeds)
 
 
 def _stall_length(history: np.ndarray, delta: float) -> int:
