@@ -47,16 +47,17 @@ from .ranging import (
 from .snr import db_to_linear
 from .solver import (
     SolverConfig, SolverRun, complete_and_localize, complete_and_localize_group,
-    require_int, require_real,
+    require_int, require_real, working_set_bytes,
 )
 
 RANGING_MODES = ("statistical", "signal_level")
 LAYOUT_KINDS = ("random_box", "circle", "file")
-# Gram entries (candidate rows x N^2) that one lockstep cost batch holds per
-# generation: three 6-node trials at the default population, and one trial
-# from 8 nodes up.  A larger batch saves less per trial as N grows, while
-# its memory grows with every trial it adds.
-LOCKSTEP_GRAM_BUDGET = 3 * 400 * 6**2
+# Workspace bytes one lockstep cost batch holds: the working set of one
+# 15-node trial at connectivity 0.9 with the default solver, which a
+# 15-node sweep pays anyway.  It fits six 6-node trials, three at 8 nodes
+# and two at 10.  A larger batch saves less per trial as N grows, while its
+# memory grows with every trial it adds.
+LOCKSTEP_BYTES = working_set_bytes(15, edge_budget(15, 0.9), SolverConfig())
 
 
 @dataclass
@@ -349,13 +350,13 @@ def _run_group(tasks: list[_TrialTask]) -> list[TrialRecord]:
     return [_trial_record(*args, share) for args in zip(tasks, inputs, runs)]
 
 
-def _group_size(n: int, cfg: ExperimentConfig) -> int:
-    """Trials per lockstep group at n nodes: within LOCKSTEP_GRAM_BUDGET,
-    and at most ceil(trials / workers), so that a pool's workers share a
-    point's trials about evenly."""
-    per_trial = cfg.solver.rows_per_generation * n * n
+def _group_size(n: int, c: float, cfg: ExperimentConfig) -> int:
+    """Trials per lockstep group at n nodes and connectivity c: as many
+    trials' workspaces as fit in LOCKSTEP_BYTES, and at most ceil(trials /
+    workers), so that a pool's workers share a point's trials about evenly."""
+    per_trial = working_set_bytes(n, edge_budget(n, c), cfg.solver)
     by_workers = math.ceil(cfg.trials / cfg.workers)
-    return max(1, min(LOCKSTEP_GRAM_BUDGET // per_trial, by_workers))
+    return max(1, min(LOCKSTEP_BYTES // per_trial, by_workers))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -370,7 +371,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     groups = []
     points = product(cfg.array_sizes, cfg.connectivities, cfg.bandwidths_hz)
     for k, (n, c, b) in enumerate(points):
-        first, size = k * cfg.trials, _group_size(n, cfg)
+        first, size = k * cfg.trials, _group_size(n, c, cfg)
         tasks = [_TrialTask(first + t, t, n, c, b, cfg) for t in range(cfg.trials)]
         groups += [tasks[i : i + size] for i in range(0, cfg.trials, size)]
     # The pool starts all its workers at the first submit, so it gets no

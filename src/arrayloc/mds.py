@@ -62,9 +62,6 @@ def _eigh_pairs(matrices: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return values[rows, order], vectors[rows[:, :, None], cols, order[:, None, :]]
 
 
-# The power of G applied by each subspace step, per stage.  Rounding in G^8
-# hides lambda_2 below about 0.15 |lambda_1|; the closing G.G steps fix that.
-_STAGE_POWERS = ((8, 8), (8, 8, 2, 2))
 # A row is proven when its Ritz residual is at most _CERTIFY_TOL * |lambda_1|.
 _CERTIFY_TOL = 1e-10
 # Residual after a stage above which a row stops and goes to eigh: such
@@ -90,23 +87,30 @@ def _orthonormalise(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _ritz_pairs(
-    g: np.ndarray, steps: list[np.ndarray], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A subspace step on x per power of G in ``steps``, then Rayleigh-Ritz.
-
-    x holds two orthonormal rows per matrix, (P, 2, N).  Returns the new
-    basis, the Ritz values (P, 2) leading |value| first, the Ritz vectors
-    as rows (P, 2, N) and the squared residual ||G Y - Y diag(values)||_F^2.
-    """
-    for power in steps:
+def _two_steps(x: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Two subspace steps with one power of G on the (P, 2, N) basis x."""
+    for _ in range(2):
         x = _orthonormalise(x @ power)  # power is symmetric: x P = (P x^T)^T
-    w = x @ g
-    x1, x2, w1, w2 = x[:, 0], x[:, 1], w[:, 0], w[:, 1]
-    a, b, c = _dot(x1, w1), _dot(x1, w2), _dot(x2, w2)
-    # Residual of the whole block against its 2x2 projection H.
-    r1 = w1 - a[:, None] * x1 - b[:, None] * x2
-    r2 = w2 - b[:, None] * x1 - c[:, None] * x2
+    return x
+
+
+def _ritz_pairs(
+    x: np.ndarray, block: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rayleigh-Ritz on the two orthonormal rows per matrix of x, (P, 2, N).
+
+    ``block`` is x G, which it overwrites.  Returns the Ritz values (P, 2)
+    leading |value| first, the Ritz vectors as rows (P, 2, N) in the memory
+    of ``block``, and the squared residual ||G Y - Y diag(values)||_F^2.
+    """
+    x1, x2, r1, r2 = x[:, 0], x[:, 1], block[:, 0], block[:, 1]
+    a, b, c = _dot(x1, r1), _dot(x1, r2), _dot(x2, r2)
+    # Residual of the whole block against its 2x2 projection H, formed in
+    # place of G X: r1 = (G x1 - a x1) - b x2, r2 = (G x2 - b x1) - c x2.
+    r1 -= a[:, None] * x1
+    r1 -= b[:, None] * x2
+    r2 -= b[:, None] * x1
+    r2 -= c[:, None] * x2
     residual = _dot(r1, r1) + _dot(r2, r2)
     # Eigenpairs of H = [[a, b], [b, c]] in closed form: the leading value
     # by magnitude is mid + sign * rad, and its eigenvector is the better
@@ -121,10 +125,12 @@ def _ritz_pairs(
     norm = np.sqrt(u * u + v * v)
     cos = np.where(norm > 0.0, u / norm, 1.0)[:, None]  # H = a I: keep x
     sin = np.where(norm > 0.0, v / norm, 0.0)[:, None]
-    y = np.empty_like(x)
-    y[:, 0] = cos * x1 + sin * x2
-    y[:, 1] = cos * x2 - sin * x1
-    return x, values, y, residual
+    y = block  # the residual is done; its block takes the Ritz vectors
+    np.multiply(cos, x1, out=y[:, 0])
+    y[:, 0] += sin * x2
+    np.multiply(cos, x2, out=y[:, 1])
+    y[:, 1] -= sin * x1
+    return values, y, residual
 
 
 def _planar_pairs(
@@ -145,43 +151,71 @@ def _planar_pairs(
     and N <= 200.  So each other |lambda_i| is below |lambda_b| / 2.  The
     former test sum(lambda_i^2) <= lambda_2^2 / 4 implies (b).
 
-    The powers of G / ||G||_F are stored in ``scratch``, three (P, N, N)
+    The powers of G / ||G||_F are stored in ``scratch``, two (P, N, N)
     buffers, fresh ones when it is None; nothing returned points into it.
     """
     p, n, _ = g.shape
-    scratch = np.empty((3, p, n, n)) if scratch is None else scratch
     values = np.full((p, 2), np.nan)  # NaN until proven
     vectors = np.empty((p, n, 2))
-    k = 2.0 * np.pi * np.arange(n) / n
-    start = np.sqrt(2.0 / n) * np.stack([np.cos(k), np.sin(k)])  # orthonormal, centred
+    scratch = np.empty((2, p, n, n)) if scratch is None else scratch
     # Degenerate rows (collinear or coincident nodes) divide by zero; they
     # end up NaN, unproven and in eigh.
     with np.errstate(all="ignore"):
-        rows, x, sub = np.arange(p), np.broadcast_to(start, (p, 2, n)), g
-        norm = np.sqrt(np.einsum("pij,pij->p", g, g))
-        # G / ||G||_F, whose powers have norms in [N^-4, 1]
-        unit = np.divide(g, norm[:, None, None], out=scratch[0])
-        square = np.matmul(unit, unit, out=scratch[1])
-        fourth = np.einsum("pij,pij->p", square, square)
-        quad = np.matmul(square, square, out=scratch[2])
-        powers = {2: square, 8: np.matmul(quad, quad, out=unit)}  # unit is done
-        for stage in _STAGE_POWERS:
-            x, lead, y, residual = _ritz_pairs(sub, [powers[e] for e in stage], x)
-            scale = lead[:, 0] ** 2
-            converged = residual <= _CERTIFY_TOL**2 * scale
-            q = (lead / norm[rows, None]) ** 4
-            rest = fourth[rows] - q[:, 0] - q[:, 1]
-            ok = converged & (16.0 * (rest + 1e-9 * q[:, 0]) <= q[:, 1])
-            values[rows[ok]], vectors[rows[ok]] = lead[ok], y[ok].transpose(0, 2, 1)
-            more = ~converged & (residual <= _GIVE_UP_TOL**2 * scale)
-            if stage is _STAGE_POWERS[-1] or not more.any():
-                break
-            rows, x, sub = rows[more], x[more], sub[more]
-            powers = {e: a[more] for e, a in powers.items()}
+        _prove_pairs(g, scratch, values, vectors)
+    # The stages' arrays are freed by now, before eigh adds its own.
     unproven = np.flatnonzero(np.isnan(values[:, 0]))
     if unproven.size:
         values[unproven], vectors[unproven] = _eigh_pairs(g[unproven], 2)
     return values, vectors
+
+
+def _prove_pairs(
+    g: np.ndarray, scratch: np.ndarray, values: np.ndarray, vectors: np.ndarray
+) -> None:
+    """The subspace stages of ``_planar_pairs``: write the pairs of each
+    proven row into ``values`` and ``vectors``, and leave the rest as is.
+
+    The first stage takes two steps on G^8.  The rows it neither proves nor
+    gives up on take two more on G^8 and two on G.G: rounding in G^8 hides
+    lambda_2 below about 0.15 |lambda_1|, and the G.G steps fix that.  The
+    second stage copies its rows of G^8 and G into ``scratch`` and rebuilds
+    their G.G there, matrix by matrix and so to the same bits.
+    """
+    p, n, _ = g.shape
+    norm = np.sqrt(np.einsum("pij,pij->p", g, g))
+    # G / ||G||_F, whose powers have norms in [N^-4, 1]
+    unit = np.divide(g, norm[:, None, None], out=scratch[0])
+    square = np.matmul(unit, unit, out=scratch[1])
+    fourth = np.einsum("pij,pij->p", square, square)
+    quad = np.matmul(square, square, out=scratch[0])  # unit is done
+    eighth = np.matmul(quad, quad, out=scratch[1])  # and square
+
+    def certify(x: np.ndarray, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Keep the rows that x proves; return which of the rest go on."""
+        lead, y, residual = _ritz_pairs(x, block)
+        scale = lead[:, 0] ** 2
+        converged = residual <= _CERTIFY_TOL**2 * scale
+        q = (lead / norm[rows, None]) ** 4
+        rest = fourth[rows] - q[:, 0] - q[:, 1]
+        ok = converged & (16.0 * (rest + 1e-9 * q[:, 0]) <= q[:, 1])
+        values[rows[ok]], vectors[rows[ok]] = lead[ok], y[ok].transpose(0, 2, 1)
+        return ~converged & (residual <= _GIVE_UP_TOL**2 * scale)
+
+    k = 2.0 * np.pi * np.arange(n) / n
+    start = np.sqrt(2.0 / n) * np.stack([np.cos(k), np.sin(k)])  # orthonormal, centred
+    x = _two_steps(np.broadcast_to(start, (p, 2, n)), eighth)
+    more = certify(x, x @ g, np.arange(p))
+    if not more.any():
+        return
+    # mode="clip" copies straight into the scratch ("raise" would buffer);
+    # every index is in range, so it clips nothing.
+    rows = np.flatnonzero(more)
+    x, own = x[more], scratch[:, : rows.size]
+    x = _two_steps(x, np.take(eighth, rows, axis=0, out=own[0], mode="clip"))
+    unit = np.take(g, rows, axis=0, out=own[1], mode="clip")  # over G^8
+    unit /= norm[rows, None, None]
+    x = _two_steps(x, np.matmul(unit, unit, out=own[0]))  # over its rows of G^8
+    certify(x, x @ np.take(g, rows, axis=0, out=own[1], mode="clip"), rows)
 
 
 def leading_eigenpairs(
@@ -210,7 +244,7 @@ def embed_gram(
     The stack must be exactly symmetric.  Returns the m leading eigenvalues
     (P, m), unclipped, and the coordinates (P, N, m); a negative eigenvalue
     gives a zero coordinate.  A caller that embeds stack after stack passes
-    the same (3, P, N, N) ``scratch`` each time (see ``_planar_pairs``).
+    the same (2, P, N, N) ``scratch`` each time (see ``_planar_pairs``).
     """
     values, vectors = leading_eigenpairs(gram, m, scratch)
     return values, np.sqrt(np.clip(values, 0.0, None))[:, None, :] * vectors

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import AdjacencyMask, CompletabilityError, Edm, NodeLayout, \
-    is_completable
+    is_completable, max_edges
 from .mds import _double_centre, _smallest_columns, classical_mds, embed_gram
 
 # Offspring bred per surviving parent each generation.  A wide brood with
@@ -135,23 +135,37 @@ class _Workspace:
 
     coeffs: np.ndarray  # (P, 1, K): 1, then a candidate's missing values
     grams: np.ndarray  # (P, N, N)
-    powers: np.ndarray  # (3, P, N, N), for embed_gram
-    gaps: np.ndarray  # (2, P, m, L) over the L measured pairs
+    powers: np.ndarray  # (2, P, N, N), embed_gram's scratch for m = 2; else empty
+    gaps: np.ndarray  # (2, P, L): both ends of the L measured pairs on one axis
     residual: np.ndarray  # (P, L)
+
+    @staticmethod
+    def shapes(rows: int, n: int, links: int, m: int) -> dict[str, tuple]:
+        """The float64 buffers for ``rows`` candidates of an n-node trial
+        with ``links`` measured pairs."""
+        return {
+            "coeffs": (rows, 1, 1 + max_edges(n) - links),
+            "grams": (rows, n, n),
+            "powers": (2 if m == 2 else 0, rows, n, n),
+            "gaps": (2, rows, links),
+            "residual": (rows, links),
+        }
 
     @classmethod
     def allocate(cls, rows: int, terms: _CostTerms, m: int) -> _Workspace:
-        k, n, _ = terms.basis.shape[-3:]
-        pairs = terms.rows.shape[-1]
-        coeffs = np.empty((rows, 1, k))
-        coeffs[:, 0, 0] = 1.0
-        return cls(
-            coeffs=coeffs,
-            grams=np.empty((rows, n, n)),
-            powers=np.empty((3, rows, n, n)),
-            gaps=np.empty((2, rows, m, pairs)),
-            residual=np.empty((rows, pairs)),
-        )
+        n, links = terms.basis.shape[-1], terms.target.shape[-1]
+        shapes = cls.shapes(rows, n, links, m)
+        work = cls(**{name: np.empty(shape) for name, shape in shapes.items()})
+        work.coeffs[:, 0, 0] = 1.0
+        return work
+
+
+def working_set_bytes(n: int, links: int, config: SolverConfig) -> int:
+    """Bytes of the workspace a planar trial of n nodes and ``links``
+    measured pairs scores its generations in: what each trial adds to a
+    lockstep group's cost batch."""
+    shapes = _Workspace.shapes(config.rows_per_generation, n, links, 2)
+    return sum(8 * math.prod(shape) for shape in shapes.values())
 
 
 def _check_masks(observed: Edm, mask: AdjacencyMask) -> None:
@@ -216,20 +230,23 @@ def _batched_costs(
     work = _Workspace.allocate(rows, terms, m) if work is None else work
     _, coords = embed_gram(_grams(vectors, terms, work), m, work.powers[:, :rows])
     # np.take gathers each end of the measured pairs into a C-ordered
-    # (P, m, L) block of the workspace, one trial at a time; coords[:, rows]
-    # would be strided, and a row's sum over a strided gather depends on
-    # the batch size.  mode="clip" writes straight into the block ("raise"
-    # would buffer), and every index is in range, so it clips nothing.
-    axes = coords.transpose(0, 2, 1)
-    gap, other = work.gaps[:, :rows]
+    # (P, L) block of the workspace, one trial and one axis at a time;
+    # coords[:, rows] would be strided, and a row's sum over a strided
+    # gather depends on the batch size.  mode="clip" writes straight into
+    # the block ("raise" would buffer), and every index is in range, so it
+    # clips nothing.  Adding the axes' squares to zero in axis order gives
+    # the bits that one sum over an (m, L) block of squares gives.
+    (gap, other), residual = work.gaps[:, :rows], work.residual[:rows]
     pairs, p = gap.shape[-1], shape[-1]
-    ends = zip(terms.rows.reshape(-1, pairs), terms.cols.reshape(-1, pairs))
-    for t, (i, j) in enumerate(ends):
-        block = slice(t * p, (t + 1) * p)
-        np.take(axes[block], i, axis=2, out=gap[block], mode="clip")
-        np.take(axes[block], j, axis=2, out=other[block], mode="clip")
-    np.subtract(gap, other, out=gap)
-    residual = np.sum(np.multiply(gap, gap, out=gap), axis=1, out=work.residual[:rows])
+    ends = list(zip(terms.rows.reshape(-1, pairs), terms.cols.reshape(-1, pairs)))
+    residual[:] = 0.0
+    for coord in np.ascontiguousarray(coords.transpose(2, 0, 1)):
+        for t, (i, j) in enumerate(ends):
+            block = slice(t * p, (t + 1) * p)
+            np.take(coord[block], i, axis=1, out=gap[block], mode="clip")
+            np.take(coord[block], j, axis=1, out=other[block], mode="clip")
+        np.subtract(gap, other, out=gap)
+        residual += np.multiply(gap, gap, out=gap)
     residual = residual.reshape(*shape, -1)
     np.subtract(terms.target[..., None, :], residual, out=residual)
     return np.sum(np.multiply(residual, residual, out=residual), axis=-1)

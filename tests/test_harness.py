@@ -23,7 +23,7 @@ from arrayloc.geometry import (
     read_layout_csv,
     write_layout_csv,
 )
-from arrayloc import harness
+from arrayloc import harness, solver
 from arrayloc.harness import (
     ExperimentConfig,
     LayoutSpec,
@@ -396,32 +396,39 @@ def test_signal_level_beyond_8_nodes_matches_serial_with_workers(tmp_path):
 
 
 def test_lockstep_groups_match_serial_with_workers(tmp_path, monkeypatch):
-    # Four 6-node trials run as groups of 3 and 1 serially and as two
-    # groups of 2 with two workers; alone, each trial gives the same bits.
-    base = dict(array_sizes=[6], connectivities=[0.8], bandwidths_hz=[40e6],
-                trials=4, seed=11, layout=LayoutSpec(kind="circle"))
-    cfg = ExperimentConfig(**base)
-    by_workers = [dataclasses.replace(cfg, workers=w) for w in (1, 2)]
-    assert [harness._group_size(6, c) for c in by_workers] == [3, 2]
-    _assert_workers_match_serial(tmp_path, base)
-    grouped = run_experiment(cfg)
-    monkeypatch.setattr(harness, "LOCKSTEP_GRAM_BUDGET", 0)  # every group of one
-    alone = run_experiment(cfg)
-    assert [r.stop_reason for r in grouped] == [r.stop_reason for r in alone]
-    assert [r.evaluations for r in grouped] == [r.evaluations for r in alone]
-    for a, b in zip(grouped, alone):
-        assert a.cost_history.tobytes() == b.cost_history.tobytes()
-        assert a.evm_history.tobytes() == b.evm_history.tobytes()
+    # Ten 6-node trials run as groups of 6 and 4 serially and as two groups
+    # of 5 with two workers, four 10-node trials as pairs either way; alone,
+    # each trial gives the same bits.
+    points = [(6, 0.8, 10, [6, 5]), (10, 0.9, 4, [2, 2])]
+    runs = []
+    for n, c, trials, sizes in points:
+        base = dict(array_sizes=[n], connectivities=[c], bandwidths_hz=[40e6],
+                    trials=trials, seed=11, layout=LayoutSpec(kind="circle"))
+        cfg = ExperimentConfig(**base)
+        by_workers = [dataclasses.replace(cfg, workers=w) for w in (1, 2)]
+        assert [harness._group_size(n, c, w) for w in by_workers] == sizes
+        _assert_workers_match_serial(tmp_path / str(n), base)
+        runs.append((cfg, run_experiment(cfg)))
+    monkeypatch.setattr(harness, "LOCKSTEP_BYTES", 0)  # every group of one
+    for cfg, grouped in runs:
+        alone = run_experiment(cfg)
+        assert [r.stop_reason for r in grouped] == [r.stop_reason for r in alone]
+        assert [r.evaluations for r in grouped] == [r.evaluations for r in alone]
+        for a, b in zip(grouped, alone):
+            assert a.cost_history.tobytes() == b.cost_history.tobytes()
+            assert a.evm_history.tobytes() == b.evm_history.tobytes()
 
 
 @pytest.mark.parametrize(
     "n, trials, workers, population, size",
     [
-        (6, 250, 1, 200, 3),  # the budget: three 6-node trials at 400 rows each
-        (7, 250, 1, 200, 2),
-        (8, 250, 1, 200, 1),  # one trial from 8 nodes up
-        (15, 250, 1, 200, 1),
-        (6, 250, 1, 20, 30),  # 40 rows per generation: ten times the trials
+        (15, 250, 1, 200, 1),  # the budget: one 15-node trial
+        (6, 250, 1, 200, 6),
+        (7, 250, 1, 200, 4),
+        (8, 250, 1, 200, 3),
+        (10, 250, 1, 200, 2),
+        (20, 250, 1, 200, 1),  # a trial beyond the budget runs alone
+        (6, 250, 1, 20, 65),  # 40 rows per generation: ten times the trials
         (6, 2, 1, 200, 2),  # no more than the point's trials
         (6, 10, 4, 200, 3),
         (6, 10, 8, 200, 2),  # at most ceil(trials / workers)
@@ -429,9 +436,34 @@ def test_lockstep_groups_match_serial_with_workers(tmp_path, monkeypatch):
     ],
 )
 def test_group_size_rule(n, trials, workers, population, size):
-    cfg = ExperimentConfig(array_sizes=[n], trials=trials, workers=workers,
+    c = 0.8 if n < 10 else 0.9  # as in criteria 02 and 09
+    cfg = ExperimentConfig(array_sizes=[n], connectivities=[c], trials=trials,
+                           workers=workers,
                            solver=SolverConfig(population_size=population))
-    assert harness._group_size(n, cfg) == size
+    assert harness._group_size(n, c, cfg) == size
+
+
+@pytest.mark.parametrize(
+    "n, c, per_row", [(6, 0.8, 1184), (8, 0.8, 2120), (10, 0.9, 3424), (15, 0.9, 7768)]
+)
+def test_group_bytes_are_the_workspace_a_trial_allocates(n, c, per_row, monkeypatch):
+    allocated = []
+    allocate = solver._Workspace.allocate
+
+    def spy(*args):
+        allocated.append(allocate(*args))
+        return allocated[-1]
+
+    monkeypatch.setattr(solver._Workspace, "allocate", spy)
+    cfg = ExperimentConfig(array_sizes=[n], connectivities=[c], trials=1, seed=3)
+    run_experiment(cfg)
+    (work,) = allocated
+    nbytes = sum(getattr(work, f.name).nbytes for f in dataclasses.fields(work))
+    rows = cfg.solver.rows_per_generation
+    assert solver.working_set_bytes(n, edge_budget(n, c), cfg.solver) == nbytes
+    assert nbytes == per_row * rows
+    many = dataclasses.replace(cfg, trials=250)
+    assert harness._group_size(n, c, many) == harness.LOCKSTEP_BYTES // nbytes
 
 
 def test_signal_level_smoke_run():

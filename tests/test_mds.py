@@ -255,6 +255,45 @@ def test_elongated_near_rank_two_rows_are_proven(rng, monkeypatch):
     assert seen == []
 
 
+def test_second_stage_rows_embed_alike_alone_and_in_a_batch(rng, monkeypatch):
+    # The second stage copies its rows of G and G^8 into the scratch and
+    # rebuilds their G.G there, over what the whole batch left; a row must
+    # embed to the same bits whichever rows share its batch.
+    rows_per_stage = []
+    ritz_pairs = mds._ritz_pairs
+
+    def spy(x, block):
+        rows_per_stage.append(len(x))
+        return ritz_pairs(x, block)
+
+    monkeypatch.setattr(mds, "_ritz_pairs", spy)
+    for n in range(5, 17):
+        first = [
+            _gram_with_spectrum(_separated_spectrum(n, rng, (0.5, 1.0), 0.02**4), rng)
+            for _ in range(12)
+        ]
+        elongated = [
+            _gram_with_spectrum(_separated_spectrum(n, rng, (0.05, 0.1), 0.02**4), rng)
+            for _ in range(6)
+        ]
+        order = rng.permutation(18)
+        stack = np.stack(first + elongated)[order]
+        rows_per_stage.clear()
+        scratch = rng.standard_normal((2, 30, n, n))
+        values, coords = mds.embed_gram(stack, 2, scratch[:, :18])
+        batch = list(rows_per_stage)
+        second = []
+        for i, g in enumerate(stack):
+            rows_per_stage.clear()
+            alone_values, alone_coords = mds.embed_gram(g[None], 2)
+            second.append(len(rows_per_stage) == 2)
+            assert np.array_equal(alone_values[0], values[i])
+            assert np.array_equal(alone_coords[0], coords[i])
+        # The batch's second stage ran, on the elongated rows that take it alone.
+        assert batch == [18, sum(second)] and sum(second) > 0
+        assert np.all(order[second] >= 12)
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
 def test_planar_pairs_are_scale_free(scale, rng, monkeypatch):
     # G^8 of a Gram at 1e100 would overflow; the powers are taken of

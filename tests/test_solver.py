@@ -17,6 +17,7 @@ from arrayloc.geometry import (
     CompletabilityError,
     Edm,
     NodeLayout,
+    edge_budget,
     edm_from_points,
     mask_edm,
     max_edges,
@@ -24,7 +25,7 @@ from arrayloc.geometry import (
     random_completable_mask,
 )
 from arrayloc import mds, solver
-from arrayloc.harness import _signal_level_edm
+from arrayloc.harness import LOCKSTEP_BYTES, _signal_level_edm
 from arrayloc.mds import _double_centre, batched_mds, embed_gram
 from arrayloc.ranging import sample_edm_statistical, synth_two_tone
 from arrayloc.snr import db_to_linear
@@ -39,6 +40,7 @@ from arrayloc.solver import (
     complete_and_localize,
     complete_and_localize_group,
     evaluate_cost,
+    working_set_bytes,
 )
 
 
@@ -274,22 +276,27 @@ def test_a_workspace_is_reused_without_aliasing(rng):
 
 
 _TWO_RUNS = """
-import resource
+import resource, sys
 import numpy as np
 from arrayloc.geometry import Edm, NodeLayout, edm_from_points, random_completable_mask
-from arrayloc.solver import complete_and_localize
+from arrayloc.solver import complete_and_localize_group
 
+n, c, trials = int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(4)
-full = edm_from_points(NodeLayout(rng.uniform(0.0, 5.0, size=(2, 15)))).entries
-mask = random_completable_mask(15, 0.9, rng)
-noise = np.triu(rng.normal(0.0, 0.01, size=(15, 15)), 1)
-entries = np.where(mask.mask, np.clip(full + noise + noise.T, 0.0, None), 0.0)
-observed = Edm(entries, observed=mask)
+observed, masks = [], []
+for _ in range(trials):
+    full = edm_from_points(NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))).entries
+    mask = random_completable_mask(n, c, rng)
+    noise = np.triu(rng.normal(0.0, 0.01, size=(n, n)), 1)
+    entries = np.where(mask.mask, np.clip(full + noise + noise.T, 0.0, None), 0.0)
+    observed.append(Edm(entries, observed=mask))
+    masks.append(mask)
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run = complete_and_localize(observed, mask, 2, rng=np.random.default_rng(4))
+    rngs = [np.random.default_rng(4 + t) for t in range(trials)]
+    runs = complete_and_localize_group(observed, masks, 2, None, rngs)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(faults / run.generations_used)
+print(faults / max(run.generations_used for run in runs))
 """
 
 
@@ -299,13 +306,17 @@ print(faults / run.generations_used)
 def test_a_generation_does_not_fault_its_arrays_back_in():
     # Scoring a 15-node generation in fresh arrays touched about 7 MB of
     # pages that the allocator had handed back to the kernel, over 1,000
-    # minor faults per generation; the trial's workspace keeps them mapped.
-    # A fresh process gives the heap a trial's starting state.
+    # minor faults per generation; the group's workspace keeps them mapped,
+    # for one 15-node trial as for the largest 6-node lockstep group the
+    # harness runs.  A fresh process gives the heap a trial's starting state.
     pytest.importorskip("resource")
-    proc = subprocess.run(
-        [sys.executable, "-c", _TWO_RUNS], capture_output=True, text=True, check=True
-    )
-    assert float(proc.stdout) < 100.0
+    largest = LOCKSTEP_BYTES // working_set_bytes(6, edge_budget(6, 0.8), SolverConfig())
+    for n, c, trials in ((15, 0.9, 1), (6, 0.8, largest)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _TWO_RUNS, str(n), str(c), str(trials)],
+            capture_output=True, text=True, check=True,
+        )
+        assert float(proc.stdout) < 100.0, (n, trials)
 
 
 # ---------------------------------------------------------------------------
