@@ -57,6 +57,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"converged={'true' if record.converged else 'false'}")
     print(f"stop_reason={record.stop_reason}")
     print(f"evaluations={record.evaluations}")
+    print(f"ruled_out={record.ruled_out}")
     if record.final_evm_m > 0:
         print(f"max_beamform_freq_hz={max_beamform_freq(record.final_evm_m)!r}")
     return 0

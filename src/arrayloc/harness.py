@@ -52,12 +52,13 @@ from .solver import (
 
 RANGING_MODES = ("statistical", "signal_level")
 LAYOUT_KINDS = ("random_box", "circle", "file")
-# Workspace bytes one lockstep cost batch holds: the working set of one
-# 15-node trial at connectivity 0.9 with the default solver, which a
-# 15-node sweep pays anyway.  It fits six 6-node trials, three at 8 nodes
-# and two at 10.  A larger batch saves less per trial as N grows, while its
-# memory grows with every trial it adds.
-LOCKSTEP_BYTES = working_set_bytes(15, edge_budget(15, 0.9), SolverConfig())
+# Cost workspace of one lockstep group: that of one 15-node trial at
+# connectivity 0.9 with the default solver, which a 15-node sweep pays
+# anyway.  It fits six 6-node trials, three at 8 nodes and two at 10.  A
+# group's candidates and batch temporaries add to it: its solver memory
+# peaks at about 1.2 to 1.8 times this.  A larger group saves less per trial
+# as N grows, while its memory grows with every trial it adds.
+LOCKSTEP_WORKSPACE_BYTES = working_set_bytes(15, edge_budget(15, 0.9), SolverConfig())
 
 
 @dataclass
@@ -237,6 +238,7 @@ class TrialRecord:
     generations_used: int
     stop_reason: str  # as SolverRun's; records.csv keeps only `converged`
     evaluations: int  # as SolverRun's; never written to CSV
+    ruled_out: int  # as SolverRun's; never written to CSV
     wall_time_s: float  # informational, a group's share; never written to CSV
 
     converged = SolverRun.converged
@@ -326,6 +328,7 @@ def _trial_record(task: _TrialTask, inputs, run: SolverRun, wall: float) -> Tria
         generations_used=run.generations_used,
         stop_reason=run.stop_reason,
         evaluations=run.evaluations,
+        ruled_out=run.ruled_out,
         wall_time_s=wall,
     )
 
@@ -352,11 +355,12 @@ def _run_group(tasks: list[_TrialTask]) -> list[TrialRecord]:
 
 def _group_size(n: int, c: float, cfg: ExperimentConfig) -> int:
     """Trials per lockstep group at n nodes and connectivity c: as many
-    trials' workspaces as fit in LOCKSTEP_BYTES, and at most ceil(trials /
-    workers), so that a pool's workers share a point's trials about evenly."""
+    trials' workspaces as fit in LOCKSTEP_WORKSPACE_BYTES, and at most
+    ceil(trials / workers), so that a pool's workers share a point's trials
+    about evenly."""
     per_trial = working_set_bytes(n, edge_budget(n, c), cfg.solver)
     by_workers = math.ceil(cfg.trials / cfg.workers)
-    return max(1, min(LOCKSTEP_BYTES // per_trial, by_workers))
+    return max(1, min(LOCKSTEP_WORKSPACE_BYTES // per_trial, by_workers))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:

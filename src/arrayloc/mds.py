@@ -12,9 +12,10 @@ For the planar case (m = 2) the two pairs come from a short block
 subspace iteration on G^8 and a Rayleigh-Ritz step on G (Golub & Van Loan,
 *Matrix Computations*, sec. 8.2; Saad, *Numerical Methods for Large
 Eigenvalue Problems*, ch. 5), and a row keeps that answer only when its
-residual and a fourth-moment bound prove it; every other row, and every
-other m, goes through a full ``eigh``.  Each row's result depends on
-that row alone, never on the rest of the stack.
+residual and a fourth-moment bound prove it.  A caller may turn down an
+unproven row from its Ritz embedding and an error bound, leaving it zero;
+every other row, and every other m, goes through a full ``eigh``.  Each
+row's result depends on that row alone, never on the rest of the stack.
 """
 
 from __future__ import annotations
@@ -133,8 +134,34 @@ def _ritz_pairs(
     return values, y, residual
 
 
+def _coordinates(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(P, N, m) embedding of the pairs: a negative value gives zeros."""
+    return np.sqrt(np.clip(values, 0.0, None))[:, None, :] * vectors
+
+
+def _spread(
+    lead: np.ndarray, residual: np.ndarray, norm: np.ndarray, rest: np.ndarray, n: int
+) -> np.ndarray:
+    """A bound on ||K~ - K||_F per row of Ritz data, inf where none holds.
+
+    K~ = (Y H Y^T)_+ is the Gram matrix of the Ritz embedding, K that of the
+    row's answer without ``needed``.  Interlacing on G^2 caps every other
+    |lambda_i| by beta = ||G||_F rest^(1/4); if delta = |theta_2| - beta > 0,
+    Davis & Kahan's sin-theta theorem (SIAM J. Numer. Anal. 7, 1970) and the
+    non-expansive PSD clip give 2 sqrt(2) ||G||_F rho / delta.  rho is padded
+    for a proof in a later stage (its residual below _CERTIFY_TOL ||G||_F, its
+    gap above delta / 2), and ``eps`` for rounding and eigh's backward error.
+    """
+    eps = 16.0 * n * np.finfo(float).eps  # relative to ||G||_F
+    beta = norm * np.maximum(rest + n * eps, 0.0) ** 0.25
+    delta = np.abs(lead[:, 1]) - beta - eps * norm
+    rho = np.sqrt(residual) + 2.0 * (eps + _CERTIFY_TOL) * norm
+    spread = eps * norm + 2.0 * np.sqrt(2.0) * norm * rho / delta
+    return np.where(delta > 0.0, spread, np.inf)
+
+
 def _planar_pairs(
-    g: np.ndarray, scratch: np.ndarray | None = None
+    g: np.ndarray, scratch: np.ndarray | None = None, needed=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``leading_eigenpairs`` for m = 2 and N >= 3: proven rows, else eigh.
 
@@ -153,6 +180,7 @@ def _planar_pairs(
 
     The powers of G / ||G||_F are stored in ``scratch``, two (P, N, N)
     buffers, fresh ones when it is None; nothing returned points into it.
+    ``needed`` is as in ``leading_eigenpairs``.
     """
     p, n, _ = g.shape
     values = np.full((p, 2), np.nan)  # NaN until proven
@@ -161,7 +189,7 @@ def _planar_pairs(
     # Degenerate rows (collinear or coincident nodes) divide by zero; they
     # end up NaN, unproven and in eigh.
     with np.errstate(all="ignore"):
-        _prove_pairs(g, scratch, values, vectors)
+        _prove_pairs(g, scratch, values, vectors, needed)
     # The stages' arrays are freed by now, before eigh adds its own.
     unproven = np.flatnonzero(np.isnan(values[:, 0]))
     if unproven.size:
@@ -170,10 +198,12 @@ def _planar_pairs(
 
 
 def _prove_pairs(
-    g: np.ndarray, scratch: np.ndarray, values: np.ndarray, vectors: np.ndarray
+    g: np.ndarray, scratch: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+    needed,
 ) -> None:
     """The subspace stages of ``_planar_pairs``: write the pairs of each
-    proven row into ``values`` and ``vectors``, and leave the rest as is.
+    proven row into ``values`` and ``vectors``, zeros for each row that
+    ``needed`` turns down, and leave the rest as is.
 
     The first stage takes two steps on G^8.  The rows it neither proves nor
     gives up on take two more on G^8 and two on G.G: rounding in G^8 hides
@@ -191,7 +221,8 @@ def _prove_pairs(
     eighth = np.matmul(quad, quad, out=scratch[1])  # and square
 
     def certify(x: np.ndarray, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Keep the rows that x proves; return which of the rest go on."""
+        """Keep the rows x proves, zero those ``needed`` turns down; return
+        which of the rest go on."""
         lead, y, residual = _ritz_pairs(x, block)
         scale = lead[:, 0] ** 2
         converged = residual <= _CERTIFY_TOL**2 * scale
@@ -199,7 +230,15 @@ def _prove_pairs(
         rest = fourth[rows] - q[:, 0] - q[:, 1]
         ok = converged & (16.0 * (rest + 1e-9 * q[:, 0]) <= q[:, 1])
         values[rows[ok]], vectors[rows[ok]] = lead[ok], y[ok].transpose(0, 2, 1)
-        return ~converged & (residual <= _GIVE_UP_TOL**2 * scale)
+        more = ~converged & (residual <= _GIVE_UP_TOL**2 * scale)
+        spread = _spread(lead, residual, norm[rows], rest, n) if needed else np.inf
+        bounded = np.flatnonzero(~ok & (spread < np.inf))
+        if bounded.size:
+            ritz = _coordinates(lead[bounded], y[bounded].transpose(0, 2, 1))
+            drop = bounded[~needed(rows[bounded], ritz, spread[bounded])]
+            values[rows[drop]], vectors[rows[drop]] = 0.0, 0.0
+            more[drop] = False
+        return more
 
     k = 2.0 * np.pi * np.arange(n) / n
     start = np.sqrt(2.0 / n) * np.stack([np.cos(k), np.sin(k)])  # orthonormal, centred
@@ -219,7 +258,7 @@ def _prove_pairs(
 
 
 def leading_eigenpairs(
-    matrices: np.ndarray, m: int, scratch: np.ndarray | None = None
+    matrices: np.ndarray, m: int, scratch: np.ndarray | None = None, needed=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """m eigenpairs of largest |eigenvalue| per matrix of a symmetric stack.
 
@@ -229,25 +268,29 @@ def leading_eigenpairs(
     otherwise.  Ties in magnitude go to the lower ``eigh`` index on
     ``eigh`` rows only; on proven rows an exact tie is broken arbitrarily,
     which leaves the distances of the embedding unchanged.  ``scratch``
-    is handed to ``_planar_pairs``.
+    is handed to ``_planar_pairs``.  ``needed(rows, coords, spread)`` sees
+    the rows that a stage does not prove but bounds: indices (R,), Ritz
+    embeddings (R, N, 2) and ``_spread`` (R,).  It returns which rows need
+    their exact pairs; the others get zero values and vectors.
     """
     if m == 2 and matrices.shape[-1] >= 3:
-        return _planar_pairs(matrices, scratch)
+        return _planar_pairs(matrices, scratch, needed)
     return _eigh_pairs(matrices, m)
 
 
 def embed_gram(
-    gram: np.ndarray, m: int, scratch: np.ndarray | None = None
+    gram: np.ndarray, m: int, scratch: np.ndarray | None = None, needed=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The m-dimensional embedding of each matrix of a (P, N, N) Gram stack.
 
     The stack must be exactly symmetric.  Returns the m leading eigenvalues
     (P, m), unclipped, and the coordinates (P, N, m); a negative eigenvalue
     gives a zero coordinate.  A caller that embeds stack after stack passes
-    the same (2, P, N, N) ``scratch`` each time (see ``_planar_pairs``).
+    the same (2, P, N, N) ``scratch`` each time (see ``_planar_pairs``);
+    ``needed`` is as in ``leading_eigenpairs``.
     """
-    values, vectors = leading_eigenpairs(gram, m, scratch)
-    return values, np.sqrt(np.clip(values, 0.0, None))[:, None, :] * vectors
+    values, vectors = leading_eigenpairs(gram, m, scratch, needed)
+    return values, _coordinates(values, vectors)
 
 
 def batched_mds(stack: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

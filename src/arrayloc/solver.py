@@ -21,6 +21,11 @@ Several trials can run in lockstep: each keeps its own random stream,
 selection and stall test, and one batch per generation scores the
 candidates of every trial still running.  A row's cost depends on that row
 alone, so a trial's run is the same bits alone or in any group.
+
+From the second generation on, a candidate whose cost provably exceeds its
+trial's worst parent cost skips its exact eigenpairs and costs +inf: such a
+child ranks below every parent and such an immigrant below every survivor,
+so no selection changes.
 """
 
 from __future__ import annotations
@@ -98,6 +103,7 @@ class SolverRun:
     stop_reason: str  # "stalled", "max_generations" or "complete_mask"
     recovered_layout: NodeLayout
     evaluations: int  # candidate costs computed, the first population's included
+    ruled_out: int  # of those, candidates the cost bound scored +inf
 
     @property
     def converged(self) -> bool:
@@ -217,39 +223,75 @@ def _grams(vectors: np.ndarray, terms: _CostTerms, work: _Workspace) -> np.ndarr
     return grams
 
 
-def _batched_costs(
-    vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None
+def _pair_costs(
+    coords: np.ndarray, terms: _CostTerms, starts: np.ndarray, work: _Workspace
 ) -> np.ndarray:
-    """The cost of each candidate row; ``work`` defaults to fresh buffers.
-
-    ``vectors`` is (P, K) for one trial's terms, giving (P,) costs, or
-    (T, P, K) for T trials' stacked terms, giving (T, P).
-    """
-    shape = vectors.shape[:-1]
-    rows = math.prod(shape)
-    work = _Workspace.allocate(rows, terms, m) if work is None else work
-    _, coords = embed_gram(_grams(vectors, terms, work), m, work.powers[:, :rows])
+    """The cost of each embedding of ``coords`` (R, N, m), (R,): rows
+    starts[t]:starts[t + 1] belong to the t-th trial of ``terms``."""
     # np.take gathers each end of the measured pairs into a C-ordered
-    # (P, L) block of the workspace, one trial and one axis at a time;
+    # (R, L) block of the workspace, one trial and one axis at a time;
     # coords[:, rows] would be strided, and a row's sum over a strided
     # gather depends on the batch size.  mode="clip" writes straight into
     # the block ("raise" would buffer), and every index is in range, so it
     # clips nothing.  Adding the axes' squares to zero in axis order gives
     # the bits that one sum over an (m, L) block of squares gives.
+    rows, pairs = len(coords), work.gaps.shape[-1]
     (gap, other), residual = work.gaps[:, :rows], work.residual[:rows]
-    pairs, p = gap.shape[-1], shape[-1]
     ends = list(zip(terms.rows.reshape(-1, pairs), terms.cols.reshape(-1, pairs)))
+    blocks = [slice(*starts[t : t + 2]) for t in range(len(ends))]
     residual[:] = 0.0
     for coord in np.ascontiguousarray(coords.transpose(2, 0, 1)):
-        for t, (i, j) in enumerate(ends):
-            block = slice(t * p, (t + 1) * p)
+        for block, (i, j) in zip(blocks, ends):
             np.take(coord[block], i, axis=1, out=gap[block], mode="clip")
             np.take(coord[block], j, axis=1, out=other[block], mode="clip")
         np.subtract(gap, other, out=gap)
         residual += np.multiply(gap, gap, out=gap)
-    residual = residual.reshape(*shape, -1)
-    np.subtract(terms.target[..., None, :], residual, out=residual)
+    for block, target in zip(blocks, terms.target.reshape(-1, pairs)):
+        np.subtract(target, residual[block], out=residual[block])
     return np.sum(np.multiply(residual, residual, out=residual), axis=-1)
+
+
+def _batched_costs(
+    vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None
+) -> np.ndarray:
+    """The exact cost of each candidate row (see ``_bounded_costs``)."""
+    return _bounded_costs(vectors, terms, m, work)[0]
+
+
+def _bounded_costs(
+    vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None,
+    ceilings: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cost of each candidate row, and which rows were ruled out.
+
+    ``vectors`` is (P, K) for one trial's terms, giving (P,) arrays, or
+    (T, P, K) for T trials' stacked terms, giving (T, P); ``work`` defaults
+    to fresh buffers.  A row is ruled out, and costs +inf, when its cost
+    provably exceeds its trial's entry of ``ceilings``: no measured squared
+    distance moves by more than 2 E, E the row's ``mds._spread``, so sqrt(F)
+    >= sqrt(F~) - 2 E sqrt(L) for F~ the cost of its Ritz embedding and L
+    measured pairs.
+    """
+    shape = vectors.shape[:-1]
+    rows, p = math.prod(shape), shape[-1]
+    work = _Workspace.allocate(rows, terms, m) if work is None else work
+    starts = np.arange(0, rows + 1, p)
+    ruled = np.zeros(rows, dtype=bool)
+
+    def needed(at, coords, spread):
+        floor = np.sqrt(_pair_costs(coords, terms, np.searchsorted(at, starts), work))
+        floor -= 2.0 * math.sqrt(work.gaps.shape[-1]) * spread
+        # 1e-6: a margin far above the rounding of a cost sum
+        ceiling = np.reshape(ceilings, -1)[at // p] * (1.0 + 1e-6)
+        out = (floor > 0.0) & (floor**2 > ceiling)
+        ruled[at[out]] = True
+        return ~out
+
+    grams, bound = _grams(vectors, terms, work), None if ceilings is None else needed
+    _, coords = embed_gram(grams, m, work.powers[:, :rows], bound)
+    costs = _pair_costs(coords, terms, starts, work)
+    costs[ruled] = np.inf
+    return costs.reshape(shape), ruled.reshape(shape)
 
 
 def evaluate_cost(
@@ -318,7 +360,7 @@ class _Search:
         self.cost_history: list[float] = []
         self.vector_history: list[np.ndarray] = []
         self.stop_reason = None if bounds.size else "complete_mask"  # nothing to evolve
-        self.evaluations = 0
+        self.evaluations = self.ruled_out = 0
 
     def start(self, costs: np.ndarray) -> None:
         """Take the first population's costs."""
@@ -356,9 +398,13 @@ class _Search:
         # in one batch.
         out[n_kids:] = upper * rng.random((len(out) - n_kids, n_vars))
 
-    def select(self, candidates: np.ndarray, scored: np.ndarray) -> None:
-        """Rank parents and children together; immigrants join the survivors."""
+    def select(
+        self, candidates: np.ndarray, scored: np.ndarray, ruled: np.ndarray
+    ) -> None:
+        """Rank parents and children together; immigrants join the survivors.
+        ``ruled`` marks the candidates ruled out under ``parent_costs[-1]``."""
         self.evaluations += scored.size
+        self.ruled_out += np.count_nonzero(ruled)
         n_kids = self.targets.size
         children, immigrants = candidates[:n_kids], candidates[n_kids:]
         # The best so far heads the parents, and the stable sort keeps it
@@ -397,6 +443,7 @@ class _Search:
             stop_reason=self.stop_reason,
             recovered_layout=classical_mds(Edm(filled), m),
             evaluations=self.evaluations,
+            ruled_out=self.ruled_out,
         )
 
 
@@ -425,9 +472,10 @@ def _evolve(searches: list[_Search], m: int, config: SolverConfig) -> None:
             candidates = buffer[: len(live)]
             for search, out in zip(live, candidates):
                 search.breed(out)
-            scored = _batched_costs(candidates, terms, m, work)
-            for search, out, costs in zip(live, candidates, scored):
-                search.select(out, costs)
+            ceilings = np.array([s.parent_costs[-1] for s in live])
+            scored, ruled = _bounded_costs(candidates, terms, m, work, ceilings)
+            for search, out, costs, flags in zip(live, candidates, scored, ruled):
+                search.select(out, costs, flags)
 
 
 def complete_and_localize(

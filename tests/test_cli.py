@@ -390,6 +390,15 @@ def test_simulate_subcommand_smoke(capsys):
     assert values["stop_reason"] == "complete_mask"
 
 
+def test_simulate_reports_the_candidates_the_bound_ruled_out(capsys):
+    assert main(["simulate", "--nodes", "8", "--seed", "2"]) == 0
+    values = _parse_kv(capsys.readouterr().out)
+    assert 0 < int(values["ruled_out"]) < int(values["evaluations"])
+    # A complete mask scores one exact population and nothing else.
+    assert main(["simulate", "--connectivity", "1.0", "--seed", "2"]) == 0
+    assert _parse_kv(capsys.readouterr().out)["ruled_out"] == "0"
+
+
 def test_simulate_runs_signal_level_beyond_8_nodes(capsys):
     code = main(["simulate", "--mode", "signal_level", "--nodes", "12", "--seed", "1"])
     assert code == 0

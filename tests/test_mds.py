@@ -315,6 +315,61 @@ def test_planar_pairs_are_scale_free(scale, rng, monkeypatch):
     assert np.all(gap.max(axis=(1, 2)) <= 1e-9 * lead)
 
 
+def _bounded_stack(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Five rows of one of GRAM_KINDS, or of rows that a stage often leaves
+    unproven but bounded: elongated layouts (|lambda_2 / lambda_1| in
+    [0.05, 0.25]) and uniform matrices whose leading eigenvalue is negative."""
+    if kind == "elongated":
+        spectra = [_separated_spectrum(n, rng, (0.05, 0.25)) for _ in range(5)]
+        return np.stack([_gram_with_spectrum(values, rng) for values in spectra])
+    if kind == "negative_uniform":
+        stack = _gram_stack("uniform", 5, n, rng)
+        lead, _ = mds._eigh_pairs(stack, 1)
+        return np.sign(-lead[:, :1, None]) * stack
+    return _gram_stack(kind, 5, n, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 16),
+    st.lists(
+        st.sampled_from(GRAM_KINDS + ["elongated", "negative_uniform"]),
+        min_size=1, max_size=4,
+    ),
+)
+def test_a_turned_down_row_lies_within_its_spread(seed, n, kinds):
+    # ``needed`` sees each row that a stage does not prove but bounds, with
+    # its Ritz embedding and a bound on the Frobenius distance between that
+    # embedding's Gram matrix and the one the row gets without ``needed``
+    # (a later proof or eigh), and so also eigh's.  A row turned down gets
+    # zero values and vectors; every other row keeps its bits.
+    rng = np.random.default_rng(seed)
+    stack = np.concatenate([_bounded_stack(kind, n, rng) for kind in kinds])
+    values, vectors = leading_eigenpairs(stack, 2)
+    exact = [
+        mds._coordinates(*pairs) for pairs in ((values, vectors), mds._eigh_pairs(stack, 2))
+    ]
+    dropped = np.zeros(len(stack), dtype=bool)
+
+    def needed(rows, coords, spread):
+        assert np.all(np.isfinite(spread)) and np.all(np.isfinite(coords))
+        ritz = coords @ coords.transpose(0, 2, 1)
+        for want in exact:
+            gap = ritz - want[rows] @ want[rows].transpose(0, 2, 1)
+            assert np.all(np.sqrt(np.sum(gap**2, axis=(1, 2))) <= spread)
+        keep = rng.random(rows.size) < 0.5
+        dropped[rows[~keep]] = True
+        return keep
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_values, got_vectors = leading_eigenpairs(stack, 2, needed=needed)
+    assert np.all(got_values[dropped] == 0.0) and np.all(got_vectors[dropped] == 0.0)
+    assert np.array_equal(got_values[~dropped], values[~dropped])
+    assert np.array_equal(got_vectors[~dropped], vectors[~dropped])
+
+
 def _solver_like_stack(n: int, rng: np.random.Generator) -> np.ndarray:
     """400 candidates from four layouts, drawn as the DE solver draws them.
 

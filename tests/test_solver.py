@@ -25,14 +25,16 @@ from arrayloc.geometry import (
     random_completable_mask,
 )
 from arrayloc import mds, solver
-from arrayloc.harness import LOCKSTEP_BYTES, _signal_level_edm
+from arrayloc.harness import LOCKSTEP_WORKSPACE_BYTES, _signal_level_edm
 from arrayloc.mds import _double_centre, batched_mds, embed_gram
 from arrayloc.ranging import sample_edm_statistical, synth_two_tone
 from arrayloc.snr import db_to_linear
 from arrayloc.solver import (
     SolverConfig,
+    _CostTerms,
     _Workspace,
     _batched_costs,
+    _bounded_costs,
     _cost_terms,
     _geodesic_upper_bounds,
     _grams,
@@ -167,13 +169,21 @@ def _reference_costs(vectors, observed, mask, m):
     return 0.5 * np.sum(residual**2, axis=(1, 2))
 
 
-def _noisy_problem(rng, n, c, rows=400):
+def _noisy_problem(rng, n, c, rows=400, kind="noisy"):
     """Noisy masked EDM and ``rows`` candidates drawn as the solver draws
     them: three quarters within 5% of the true missing distances, the rest
-    uniform up to the geodesic bound."""
-    full = edm_from_points(NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))).entries
+    uniform up to the geodesic bound.  ``kind`` may instead make the layout
+    elongated, collinear or with two nodes coincident, or the EDM noiseless."""
+    points = rng.uniform(0.0, 5.0, size=(2, n))
+    if kind == "elongated":  # 20:1
+        points[1] *= 0.05
+    elif kind == "collinear":
+        points[1] = 0.5 * points[0]
+    elif kind == "coincident":
+        points[:, 1] = points[:, 0]
+    full = edm_from_points(NodeLayout(points)).entries
     mask = random_completable_mask(n, c, rng)
-    noise = np.triu(rng.normal(0.0, 0.05, size=(n, n)), 1)
+    noise = np.triu(rng.normal(0.0, 0.05, size=(n, n)), 1) * (kind != "noiseless")
     observed = Edm(
         np.where(mask.mask, np.clip(full + noise + noise.T, 0.0, None), 0.0),
         observed=mask,
@@ -218,7 +228,7 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
     # in test_mds.py, not the cost formula's.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            mds, "leading_eigenpairs", lambda g, m, scratch: mds._eigh_pairs(g, m)
+            mds, "leading_eigenpairs", lambda g, m, *_: mds._eigh_pairs(g, m)
         )
         np.testing.assert_allclose(
             _batched_costs(vectors, terms, 2),
@@ -258,6 +268,38 @@ def test_a_row_costs_alike_alone_and_in_any_batch(n, c, rng):
             assert np.array_equal(
                 _batched_costs(batch, terms, m, work), _batched_costs(batch, terms, m)
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 16),
+    st.sampled_from(["noisy", "noiseless", "elongated", "collinear", "coincident"]),
+)
+def test_a_ruled_out_row_costs_more_than_its_ceiling(seed, n, kind):
+    # Under a ceiling per trial, a row is ruled out only when its cost, by
+    # the solver's own eigen path and by eigh alike, lies above its trial's
+    # ceiling; it then costs +inf, and every other row keeps its bits.  Two
+    # stacked trials of the same terms check that each row meets its own
+    # trial's ceiling.
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(min_edges(n) / max_edges(n), 1.0)
+    observed, mask, vectors = _noisy_problem(rng, n, c, rows=200, kind=kind)
+    assume(vectors.shape[1] > 0)
+    terms = _cost_terms(observed, mask)
+    exact = _batched_costs(vectors, terms, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mds, "leading_eigenpairs", lambda g, m, *_: mds._eigh_pairs(g, m))
+        by_eigh = _batched_costs(vectors, terms, 2)
+    ceilings = np.quantile(exact, [0.02, 0.3])
+    pair = _CostTerms.stack([terms, terms])
+    costs, ruled = _bounded_costs(np.stack([vectors] * 2), pair, 2, None, ceilings)
+    for t, ceiling in enumerate(ceilings):
+        assert np.all(exact[ruled[t]] > ceiling) and np.all(by_eigh[ruled[t]] > ceiling)
+        assert np.all(costs[t, ruled[t]] == np.inf)
+        assert np.array_equal(costs[t, ~ruled[t]], exact[~ruled[t]])
+        alone = _bounded_costs(vectors, terms, 2, None, ceilings[t])
+        assert np.array_equal(alone[0], costs[t]) and np.array_equal(alone[1], ruled[t])
 
 
 def test_a_workspace_is_reused_without_aliasing(rng):
@@ -310,7 +352,9 @@ def test_a_generation_does_not_fault_its_arrays_back_in():
     # for one 15-node trial as for the largest 6-node lockstep group the
     # harness runs.  A fresh process gives the heap a trial's starting state.
     pytest.importorskip("resource")
-    largest = LOCKSTEP_BYTES // working_set_bytes(6, edge_budget(6, 0.8), SolverConfig())
+    largest = LOCKSTEP_WORKSPACE_BYTES // working_set_bytes(
+        6, edge_budget(6, 0.8), SolverConfig()
+    )
     for n, c, trials in ((15, 0.9, 1), (6, 0.8, largest)):
         proc = subprocess.run(
             [sys.executable, "-c", _TWO_RUNS, str(n), str(c), str(trials)],
@@ -560,6 +604,90 @@ def test_a_group_runs_each_trial_as_it_runs_alone(wave40):
         )
     with pytest.raises(ValueError):
         complete_and_localize_group(observed[:2], masks, 2, config, seeds)
+
+
+def _assert_same_run(run, want):
+    """Every field of two SolverRuns alike but ``ruled_out``."""
+    for name in ("best_cost_history", "best_vector_history"):
+        assert getattr(run, name).tobytes() == getattr(want, name).tobytes()
+    assert run.recovered_layout.coords.tobytes() == want.recovered_layout.coords.tobytes()
+    assert (run.generations_used, run.stop_reason, run.evaluations) == (
+        want.generations_used, want.stop_reason, want.evaluations
+    )
+
+
+def _without_ceilings(patch):
+    """Patch the solver to score every candidate exactly."""
+    bounded = solver._bounded_costs
+    patch.setattr(
+        solver, "_bounded_costs",
+        lambda v, terms, m, work=None, ceilings=None: bounded(v, terms, m, work),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, c, trials", [(6, 0.8, 4), (8, 0.8, 3), (10, 0.9, 2), (15, 0.9, 1)]
+)
+def test_the_ceiling_rule_changes_no_run(n, c, trials, wave40, monkeypatch):
+    # A candidate scored +inf under its trial's ceiling could not have
+    # been selected, so solo and lockstep runs are the runs that score
+    # every candidate exactly.  The first 6-node trial is noiseless.
+    observed, masks = [], []
+    for seed in range(trials):
+        rng = np.random.default_rng((n, seed))
+        layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))
+        masks.append(random_completable_mask(n, c, rng))
+        if n == 6 and seed == 0:
+            observed.append(mask_edm(edm_from_points(layout), masks[-1]))
+        else:
+            snr = db_to_linear(34.0)
+            observed.append(sample_edm_statistical(layout, masks[-1], snr, wave40, rng))
+
+    def runs():
+        rngs = [np.random.default_rng(seed) for seed in range(trials)]
+        group = complete_and_localize_group(observed, masks, 2, None, rngs)
+        solo = [
+            complete_and_localize(o, mask, 2, rng=np.random.default_rng(seed))
+            for seed, (o, mask) in enumerate(zip(observed, masks))
+        ]
+        return group + solo
+
+    bounded = runs()
+    _without_ceilings(monkeypatch)
+    exact = runs()
+    for run, want in zip(bounded, exact):
+        _assert_same_run(run, want)
+        assert 0 < run.ruled_out < run.evaluations and want.ruled_out == 0
+    for run, want in zip(bounded, bounded[trials:]):  # lockstep against solo
+        assert run.ruled_out == want.ruled_out
+    if n == 6:
+        assert bounded[0].best_cost_history[-1] < 1e-10  # the noiseless trial
+
+
+def test_the_ceiling_rule_halves_the_rows_that_reach_eigh(wave40, monkeypatch):
+    # At 8 nodes most rows that reach eigh are immigrants that cannot
+    # become parents; the rule rules out well over half of them.
+    rows = []
+    eigh_pairs = mds._eigh_pairs
+
+    def spy(matrices, m):
+        rows[-1] += len(matrices)
+        return eigh_pairs(matrices, m)
+
+    monkeypatch.setattr(mds, "_eigh_pairs", spy)
+    for exact in (False, True):
+        if exact:
+            _without_ceilings(monkeypatch)
+        rows.append(0)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 8)))
+            mask = random_completable_mask(8, 0.8, rng)
+            observed = sample_edm_statistical(
+                layout, mask, db_to_linear(34.0), wave40, rng
+            )
+            complete_and_localize(observed, mask, 2, rng=rng)
+    assert rows[0] <= 0.5 * rows[1]
 
 
 def _stall_length(history: np.ndarray, delta: float) -> int:
