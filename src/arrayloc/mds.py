@@ -16,6 +16,10 @@ residual and a fourth-moment bound prove it.  A caller may turn down an
 unproven row from its Ritz embedding and an error bound, leaving it zero;
 every other row, and every other m, goes through a full ``eigh``.  Each
 row's result depends on that row alone, never on the rest of the stack.
+The basis, its products and the vectors are axis-major, one contiguous
+(P, N) plane per vector; BLAS reads and writes their (P, 2, N) views in
+place, with leading dimension P N, and each (P, N, m) result is a view of
+such planes.
 """
 
 from __future__ import annotations
@@ -59,8 +63,7 @@ def _eigh_pairs(matrices: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = np.linalg.eigh(matrices)
     order = _smallest_columns(-np.abs(values), m)
     rows = np.arange(matrices.shape[0])[:, None]
-    cols = np.arange(matrices.shape[-1])[:, None]
-    return values[rows, order], vectors[rows[:, :, None], cols, order[:, None, :]]
+    return values[rows, order], vectors[rows.T, :, order.T].transpose(1, 2, 0)
 
 
 # A row is proven when its Ritz residual is at most _CERTIFY_TOL * |lambda_1|.
@@ -75,12 +78,12 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalise(z: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt on the two rows of each (2, N) block of z, in place.
+    """Gram-Schmidt on the two (P, N) planes of z, row by row, in place.
 
     The projection runs twice, which keeps the rows orthogonal to rounding
     even when they start out nearly parallel.
     """
-    z1, z2 = z[:, 0], z[:, 1]
+    z1, z2 = z
     z1 /= np.sqrt(_dot(z1, z1))[:, None]
     for _ in range(2):
         z2 -= _dot(z1, z2)[:, None] * z1
@@ -88,23 +91,30 @@ def _orthonormalise(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _times(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """x M per matrix of the (2, P, N) basis x, through the (P, 2, N) views."""
+    out = np.empty(x.shape)
+    np.matmul(x.transpose(1, 0, 2), matrices, out=out.transpose(1, 0, 2))
+    return out
+
+
 def _two_steps(x: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """Two subspace steps with one power of G on the (P, 2, N) basis x."""
+    """Two subspace steps with one power of G on the (2, P, N) basis x."""
     for _ in range(2):
-        x = _orthonormalise(x @ power)  # power is symmetric: x P = (P x^T)^T
+        x = _orthonormalise(_times(x, power))  # power is symmetric: x P = (P x^T)^T
     return x
 
 
 def _ritz_pairs(
     x: np.ndarray, block: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rayleigh-Ritz on the two orthonormal rows per matrix of x, (P, 2, N).
+    """Rayleigh-Ritz on the two orthonormal planes of x, (2, P, N).
 
     ``block`` is x G, which it overwrites.  Returns the Ritz values (P, 2)
-    leading |value| first, the Ritz vectors as rows (P, 2, N) in the memory
-    of ``block``, and the squared residual ||G Y - Y diag(values)||_F^2.
+    leading |value| first, the Ritz vectors as planes (2, P, N) in the
+    memory of ``block``, and the squared residual ||G Y - Y diag(values)||_F^2.
     """
-    x1, x2, r1, r2 = x[:, 0], x[:, 1], block[:, 0], block[:, 1]
+    (x1, x2), (r1, r2) = x, block
     a, b, c = _dot(x1, r1), _dot(x1, r2), _dot(x2, r2)
     # Residual of the whole block against its 2x2 projection H, formed in
     # place of G X: r1 = (G x1 - a x1) - b x2, r2 = (G x2 - b x1) - c x2.
@@ -126,17 +136,17 @@ def _ritz_pairs(
     norm = np.sqrt(u * u + v * v)
     cos = np.where(norm > 0.0, u / norm, 1.0)[:, None]  # H = a I: keep x
     sin = np.where(norm > 0.0, v / norm, 0.0)[:, None]
-    y = block  # the residual is done; its block takes the Ritz vectors
-    np.multiply(cos, x1, out=y[:, 0])
-    y[:, 0] += sin * x2
-    np.multiply(cos, x2, out=y[:, 1])
-    y[:, 1] -= sin * x1
-    return values, y, residual
+    np.multiply(cos, x1, out=r1)  # the residual is done: its block takes Y
+    r1 += sin * x2
+    np.multiply(cos, x2, out=r2)
+    r2 -= sin * x1
+    return values, block, residual
 
 
 def _coordinates(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """(P, N, m) embedding of the pairs: a negative value gives zeros."""
-    return np.sqrt(np.clip(values, 0.0, None))[:, None, :] * vectors
+    """(P, N, m) embedding of the pairs on (m, P, N) planes: a value < 0 gives 0."""
+    scale = np.sqrt(np.clip(values, 0.0, None)).T[:, :, None]
+    return (scale * vectors.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def _spread(
@@ -184,26 +194,27 @@ def _planar_pairs(
     """
     p, n, _ = g.shape
     values = np.full((p, 2), np.nan)  # NaN until proven
-    vectors = np.empty((p, n, 2))
+    planes = np.empty((2, p, n))
     scratch = np.empty((2, p, n, n)) if scratch is None else scratch
     # Degenerate rows (collinear or coincident nodes) divide by zero; they
     # end up NaN, unproven and in eigh.
     with np.errstate(all="ignore"):
-        _prove_pairs(g, scratch, values, vectors, needed)
+        _prove_pairs(g, scratch, values, planes, needed)
     # The stages' arrays are freed by now, before eigh adds its own.
     unproven = np.flatnonzero(np.isnan(values[:, 0]))
     if unproven.size:
-        values[unproven], vectors[unproven] = _eigh_pairs(g[unproven], 2)
-    return values, vectors
+        values[unproven], vectors = _eigh_pairs(g[unproven], 2)
+        planes[:, unproven] = vectors.transpose(2, 0, 1)
+    return values, planes.transpose(1, 2, 0)
 
 
 def _prove_pairs(
-    g: np.ndarray, scratch: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+    g: np.ndarray, scratch: np.ndarray, values: np.ndarray, planes: np.ndarray,
     needed,
 ) -> None:
     """The subspace stages of ``_planar_pairs``: write the pairs of each
-    proven row into ``values`` and ``vectors``, zeros for each row that
-    ``needed`` turns down, and leave the rest as is.
+    proven row into ``values`` and the (2, P, N) ``planes``, zeros for each
+    row that ``needed`` turns down, and leave the rest as is.
 
     The first stage takes two steps on G^8.  The rows it neither proves nor
     gives up on take two more on G^8 and two on G.G: rounding in G^8 hides
@@ -229,32 +240,32 @@ def _prove_pairs(
         q = (lead / norm[rows, None]) ** 4
         rest = fourth[rows] - q[:, 0] - q[:, 1]
         ok = converged & (16.0 * (rest + 1e-9 * q[:, 0]) <= q[:, 1])
-        values[rows[ok]], vectors[rows[ok]] = lead[ok], y[ok].transpose(0, 2, 1)
+        values[rows[ok]], planes[:, rows[ok]] = lead[ok], y[:, ok]
         more = ~converged & (residual <= _GIVE_UP_TOL**2 * scale)
         spread = _spread(lead, residual, norm[rows], rest, n) if needed else np.inf
         bounded = np.flatnonzero(~ok & (spread < np.inf))
         if bounded.size:
-            ritz = _coordinates(lead[bounded], y[bounded].transpose(0, 2, 1))
+            ritz = _coordinates(lead[bounded], y[:, bounded].transpose(1, 2, 0))
             drop = bounded[~needed(rows[bounded], ritz, spread[bounded])]
-            values[rows[drop]], vectors[rows[drop]] = 0.0, 0.0
+            values[rows[drop]], planes[:, rows[drop]] = 0.0, 0.0
             more[drop] = False
         return more
 
     k = 2.0 * np.pi * np.arange(n) / n
     start = np.sqrt(2.0 / n) * np.stack([np.cos(k), np.sin(k)])  # orthonormal, centred
-    x = _two_steps(np.broadcast_to(start, (p, 2, n)), eighth)
-    more = certify(x, x @ g, np.arange(p))
+    x = _two_steps(np.broadcast_to(start[:, None], (2, p, n)), eighth)
+    more = certify(x, _times(x, g), np.arange(p))
     if not more.any():
         return
     # mode="clip" copies straight into the scratch ("raise" would buffer);
     # every index is in range, so it clips nothing.
     rows = np.flatnonzero(more)
-    x, own = x[more], scratch[:, : rows.size]
+    x, own = x[:, more], scratch[:, : rows.size]
     x = _two_steps(x, np.take(eighth, rows, axis=0, out=own[0], mode="clip"))
     unit = np.take(g, rows, axis=0, out=own[1], mode="clip")  # over G^8
     unit /= norm[rows, None, None]
     x = _two_steps(x, np.matmul(unit, unit, out=own[0]))  # over its rows of G^8
-    certify(x, x @ np.take(g, rows, axis=0, out=own[1], mode="clip"), rows)
+    certify(x, _times(x, np.take(g, rows, axis=0, out=own[1], mode="clip")), rows)
 
 
 def leading_eigenpairs(

@@ -17,10 +17,11 @@ breed several offspring each, survivors are chosen by rank from parents and
 offspring together, and the rest of the population is replaced by fresh
 random immigrants each generation to keep exploring.
 
-Several trials can run in lockstep: each keeps its own random stream,
-selection and stall test, and one batch per generation scores the
-candidates of every trial still running.  A row's cost depends on that row
-alone, so a trial's run is the same bits alone or in any group.
+Several trials can run in lockstep: each keeps its own random stream and
+stall test, and each generation is bred, scored in one batch and selected
+once for every trial still running, on arrays stacked over the trials.  A
+row's cost depends on that row alone, so a trial's run is the same bits
+alone or in any group.
 
 From the second generation on, a candidate whose cost provably exceeds its
 trial's worst parent cost skips its exact eigenpairs and costs +inf: such a
@@ -122,6 +123,7 @@ class _CostTerms:
     rows: np.ndarray  # measured pairs i < j
     cols: np.ndarray
     target: np.ndarray  # (d_ij + d_ji) / 2 at those pairs
+    gain: np.ndarray  # () bound on ||A||, A(K) = (K_ii + K_jj - 2 K_ij) over the pairs
 
     @classmethod
     def stack(cls, terms: list[_CostTerms]) -> _CostTerms:
@@ -190,11 +192,15 @@ def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
         mask.filled(np.zeros((n, n)), np.eye(n_missing)),
     ])
     i, j = np.nonzero(np.triu(mask.mask, 1))
+    # A A^T = 4 I + the adjacency of the measured pairs' line graph, whose
+    # rows sum to deg_i + deg_j - 2: Gershgorin bounds ||A||^2 by the most.
+    degree = np.count_nonzero(mask.mask, axis=1)
     return _CostTerms(
         basis=_double_centre(stack),
         rows=i,
         cols=j,
         target=0.5 * (observed.entries[i, j] + observed.entries[j, i]),
+        gain=np.sqrt(2.0 + np.max(degree[i] + degree[j], initial=0)),
     )
 
 
@@ -267,10 +273,10 @@ def _bounded_costs(
     ``vectors`` is (P, K) for one trial's terms, giving (P,) arrays, or
     (T, P, K) for T trials' stacked terms, giving (T, P); ``work`` defaults
     to fresh buffers.  A row is ruled out, and costs +inf, when its cost
-    provably exceeds its trial's entry of ``ceilings``: no measured squared
-    distance moves by more than 2 E, E the row's ``mds._spread``, so sqrt(F)
-    >= sqrt(F~) - 2 E sqrt(L) for F~ the cost of its Ritz embedding and L
-    measured pairs.
+    provably exceeds its trial's entry of ``ceilings``: the measured squared
+    distances of Gram matrices K, K~ differ by A(K - K~), ``_CostTerms.gain``
+    bounds ||A|| and the row's ``mds._spread`` E bounds ||K - K~||_F, so
+    sqrt(F) >= sqrt(F~) - gain E for F~ the cost of its Ritz embedding.
     """
     shape = vectors.shape[:-1]
     rows, p = math.prod(shape), shape[-1]
@@ -280,7 +286,7 @@ def _bounded_costs(
 
     def needed(at, coords, spread):
         floor = np.sqrt(_pair_costs(coords, terms, np.searchsorted(at, starts), work))
-        floor -= 2.0 * math.sqrt(work.gaps.shape[-1]) * spread
+        floor -= np.reshape(terms.gain, -1)[at // p] * spread
         # 1e-6: a margin far above the rounding of a cost sum
         ceiling = np.reshape(ceilings, -1)[at // p] * (1.0 + 1e-6)
         out = (floor > 0.0) & (floor**2 > ceiling)
@@ -339,7 +345,7 @@ def _geodesic_upper_bounds(
 
 
 class _Search:
-    """One trial's DE state: its population, random stream and histories."""
+    """One trial's DE state: its stream, first population, histories, stall test."""
 
     def __init__(self, observed: Edm, mask: AdjacencyMask, m: int,
                  config: SolverConfig, rng: np.random.Generator) -> None:
@@ -349,77 +355,19 @@ class _Search:
                 "observation mask cannot anchor every node in the array"
             )
         self.observed, self.mask, self.config, self.rng = observed, mask, config, rng
-        pair_idx = mask.missing_indices()
         self.terms = _cost_terms(observed, mask)
-        bounds = _geodesic_upper_bounds(observed, mask, pair_idx)
+        bounds = _geodesic_upper_bounds(observed, mask, mask.missing_indices())
         self.upper = np.maximum(bounds, 1e-12)
         self.population = self.upper * rng.random((config.population_size, bounds.size))
-        self.n_parents = config.parents
-        # Offspring k breeds on parent k mod n_parents.
-        self.targets = np.tile(np.arange(self.n_parents), OFFSPRING_PER_PARENT)
         self.cost_history: list[float] = []
         self.vector_history: list[np.ndarray] = []
         self.stop_reason = None if bounds.size else "complete_mask"  # nothing to evolve
         self.evaluations = self.ruled_out = 0
 
-    def start(self, costs: np.ndarray) -> None:
-        """Take the first population's costs."""
-        self.costs = costs
-        self.evaluations += costs.size
-        best = int(np.argmin(costs))
-        self._record(float(costs[best]), self.population[best].copy())
-
-    def breed(self, out: np.ndarray) -> None:
-        """Write this generation's children, then its immigrants, into ``out``."""
-        rng, upper, targets = self.rng, self.upper, self.targets
-        n_parents, n_kids, n_vars = self.n_parents, targets.size, upper.size
-        order = np.argsort(self.costs, kind="stable")
-        parents = self.parents = self.population[order[:n_parents]]
-        self.parent_costs = self.costs[order[:n_parents]]
-        # DE/rand/1/bin among the parents, several offspring per parent.
-        # Donor triples exclude the target but are otherwise uniform.
-        keys = rng.random((n_kids, n_parents))
-        keys[np.arange(n_kids), targets] = 2.0
-        donor_idx = _smallest_columns(keys, 3)
-        a, b, c = (parents[donor_idx[:, k]] for k in range(3))
-        donors = a + DIFFERENTIAL_WEIGHT * (b - c)
-        cross = rng.random((n_kids, n_vars)) < CROSSOVER_RATE
-        forced = rng.integers(0, n_vars, size=n_kids)
-        cross[np.arange(n_kids), forced] = True
-        target_vecs = parents[targets]
-        children = np.where(cross, donors, target_vecs)
-        # Out-of-bounds coordinates restart halfway between the target and
-        # the violated bound.  Hard clipping would pile many individuals
-        # onto identical boundary values and bleed diversity.
-        children = np.where(children < 0.0, 0.5 * target_vecs, children)
-        out[:n_kids] = np.where(children > upper, 0.5 * (target_vecs + upper), children)
-        # The culled share of the population immigrates uniformly at random.
-        # No draw depends on a cost, so children and immigrants are scored
-        # in one batch.
-        out[n_kids:] = upper * rng.random((len(out) - n_kids, n_vars))
-
-    def select(
-        self, candidates: np.ndarray, scored: np.ndarray, ruled: np.ndarray
-    ) -> None:
-        """Rank parents and children together; immigrants join the survivors.
-        ``ruled`` marks the candidates ruled out under ``parent_costs[-1]``."""
-        self.evaluations += scored.size
-        self.ruled_out += np.count_nonzero(ruled)
-        n_kids = self.targets.size
-        children, immigrants = candidates[:n_kids], candidates[n_kids:]
-        # The best so far heads the parents, and the stable sort keeps it
-        # ahead of any child that only ties it: survivors[0] is the new
-        # best so far.
-        pool = np.vstack([self.parents, children])
-        pool_costs = np.concatenate([self.parent_costs, scored[:n_kids]])
-        keep = np.argsort(pool_costs, kind="stable")[: self.n_parents]
-        survivors = pool[keep]
-        survivor_costs = pool_costs[keep]
-        self.population = np.vstack([survivors, immigrants])
-        self.costs = np.concatenate([survivor_costs, scored[n_kids:]])
-        self._record(float(survivor_costs[0]), survivors[0].copy())
-
-    def _record(self, cost: float, vector: np.ndarray) -> None:
+    def record(self, cost: float, vector: np.ndarray, scored: int, ruled: int) -> None:
+        """Take a generation's best so far and its counts; test for a stop."""
+        self.evaluations += scored
+        self.ruled_out += ruled
         history = self.cost_history
         history.append(cost)
         self.vector_history.append(vector)
@@ -450,32 +398,83 @@ class _Search:
 def _evolve(searches: list[_Search], m: int, config: SolverConfig) -> None:
     """Run every search to its stop, a generation at a time in lockstep.
 
-    Searches whose cost terms share a shape score their candidates in one
-    batch per generation; a search leaves the batch when it stops.
+    Searches whose cost terms share a shape form a group on stacked (T, S,
+    K) populations, (T, S) costs and (T, 1, K) bounds.  Each search draws
+    from its own stream in its own order: donor keys, crossover draws,
+    forced coordinates, immigrants.  The rest of a generation, breeding,
+    one cost batch and selection, runs once for the group; a search leaves
+    the stacks when it stops.
     """
     cohorts: dict[tuple, list[_Search]] = {}
     for search in searches:
         cohorts.setdefault(search.terms.basis.shape, []).append(search)
-    width = config.rows_per_generation
-    for cohort in cohorts.values():
-        terms = _CostTerms.stack([s.terms for s in cohort])
-        work = _Workspace.allocate(len(cohort) * width, terms, m)
-        population = np.stack([s.population for s in cohort])
-        for search, costs in zip(cohort, _batched_costs(population, terms, m, work)):
-            search.start(costs)
-        # One candidate buffer for the whole run, like the workspace: a
-        # fresh one each generation would fault its pages back in.
-        buffer = np.empty((len(cohort), width, cohort[0].upper.size))
-        while live := [s for s in cohort if s.stop_reason is None]:
-            if len(live) < len(terms.rows):
-                terms = _CostTerms.stack([s.terms for s in live])
-            candidates = buffer[: len(live)]
-            for search, out in zip(live, candidates):
-                search.breed(out)
-            ceilings = np.array([s.parent_costs[-1] for s in live])
-            scored, ruled = _bounded_costs(candidates, terms, m, work, ceilings)
-            for search, out, costs, flags in zip(live, candidates, scored, ruled):
-                search.select(out, costs, flags)
+    width, n_parents = config.rows_per_generation, config.parents
+    # Offspring k breeds on parent k mod n_parents.
+    targets = np.tile(np.arange(n_parents), OFFSPRING_PER_PARENT)
+    n_kids, kids = targets.size, np.arange(targets.size)
+    for live in cohorts.values():
+        terms = _CostTerms.stack([s.terms for s in live])
+        upper = np.stack([s.upper for s in live])[:, None]
+        population = np.stack([s.population for s in live])
+        t, _, n_vars = population.shape
+        work = _Workspace.allocate(t * width, terms, m)
+        costs = _batched_costs(population, terms, m, work)
+        for search, scored, rows in zip(live, costs, population):
+            best = int(np.argmin(scored))
+            search.record(float(scored[best]), rows[best].copy(), scored.size, 0)
+        # The draws' rows are allocated once per group, like the workspace:
+        # fresh ones each generation would fault their pages back in.
+        buffer, draws = np.empty((t, width, n_vars)), np.empty((t, n_kids, n_vars))
+        picks = np.empty((t, n_kids, 3), np.intp)
+        forced = np.empty((t, n_kids), np.intp)
+        while going := [i for i, s in enumerate(live) if s.stop_reason is None]:
+            if len(going) < t:
+                live = [live[i] for i in going]
+                population, costs, upper = population[going], costs[going], upper[going]
+                terms, t = _CostTerms.stack([s.terms for s in live]), len(live)
+            order = np.argsort(costs, axis=1, kind="stable")[:, :n_parents, None]
+            parents = np.take_along_axis(population, order, axis=1)
+            ranked = np.take_along_axis(costs, order[..., 0], axis=1)  # best first
+            candidates, keys = buffer[:t], np.empty((n_kids, n_parents))
+            # DE/rand/1/bin among the parents, donor triples uniform but for
+            # the target, then immigrants uniform.  No draw depends on a
+            # cost, so children and immigrants are scored in one batch.
+            for i, search in enumerate(live):
+                search.rng.random(out=keys)
+                keys[kids, targets] = 2.0
+                picks[i] = _smallest_columns(keys, 3)
+                search.rng.random(out=draws[i])
+                forced[i] = search.rng.integers(0, n_vars, size=n_kids)
+                search.rng.random(out=candidates[i, n_kids:])
+            trial = np.arange(t)[:, None]
+            a, b, c = (parents[trial, picks[:t, :, j]] for j in range(3))
+            cross = draws[:t] < CROSSOVER_RATE
+            cross[trial, kids, forced[:t]] = True
+            target_vecs = parents[:, targets]
+            children = np.where(cross, a + DIFFERENTIAL_WEIGHT * (b - c), target_vecs)
+            # Out-of-bounds coordinates restart halfway between the target
+            # and the violated bound.  Hard clipping would pile many
+            # individuals onto identical boundary values and bleed diversity.
+            children = np.where(children < 0.0, 0.5 * target_vecs, children)
+            candidates[:, :n_kids] = np.where(
+                children > upper, 0.5 * (target_vecs + upper), children
+            )
+            candidates[:, n_kids:] *= upper
+            del keys, a, b, c, cross, children, target_vecs  # the batch peaks on top
+            scored, ruled = _bounded_costs(candidates, terms, m, work, ranked[:, -1])
+            # Rank parents and children together; immigrants join the
+            # survivors.  The best so far heads the parents, and the stable
+            # sort keeps it ahead of any child that only ties it: each
+            # trial's first survivor is its new best so far.
+            pool = np.concatenate([parents, candidates[:, :n_kids]], axis=1)
+            pool_costs = np.concatenate([ranked, scored[:, :n_kids]], axis=1)
+            keep = np.argsort(pool_costs, axis=1, kind="stable")[:, :n_parents, None]
+            population[:, :n_parents] = np.take_along_axis(pool, keep, axis=1)
+            population[:, n_parents:] = candidates[:, n_kids:]
+            costs[:, :n_parents] = np.take_along_axis(pool_costs, keep[..., 0], axis=1)
+            costs[:, n_parents:] = scored[:, n_kids:]
+            for search, rows, cost, n in zip(live, population, costs, ruled.sum(1)):
+                search.record(float(cost[0]), rows[0].copy(), width, n)
 
 
 def complete_and_localize(

@@ -263,7 +263,7 @@ def test_second_stage_rows_embed_alike_alone_and_in_a_batch(rng, monkeypatch):
     ritz_pairs = mds._ritz_pairs
 
     def spy(x, block):
-        rows_per_stage.append(len(x))
+        rows_per_stage.append(x.shape[1])  # x holds (2, rows, N) planes
         return ritz_pairs(x, block)
 
     monkeypatch.setattr(mds, "_ritz_pairs", spy)

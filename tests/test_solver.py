@@ -302,6 +302,31 @@ def test_a_ruled_out_row_costs_more_than_its_ceiling(seed, n, kind):
         assert np.array_equal(alone[0], costs[t]) and np.array_equal(alone[1], ruled[t])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 16))
+def test_the_floor_gain_bounds_how_far_the_pairs_move(seed, n):
+    # The cost floor charges gain * E for Gram matrices E apart in Frobenius
+    # norm: the gain must bound the norm of the map dK -> (dK_ii + dK_jj -
+    # 2 dK_ij) over the measured pairs, and never exceed the 2 sqrt(L) that
+    # each pair's own norm, 2, gives.
+    rng = np.random.default_rng(seed)
+    mask = random_completable_mask(n, rng.uniform(min_edges(n) / max_edges(n), 1.0), rng)
+    layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))
+    terms = _cost_terms(mask_edm(edm_from_points(layout), mask), mask)
+    i, j, links = terms.rows, terms.cols, terms.rows.size
+    assert terms.gain.shape == () and terms.gain <= 2.0 * np.sqrt(links)
+    for _ in range(5):
+        dk = rng.standard_normal((n, n)) * rng.uniform(0.0, 10.0, size=(n, 1))
+        dk += dk.T
+        moved = dk[i, i] + dk[j, j] - 2.0 * dk[i, j]
+        assert np.linalg.norm(moved) <= terms.gain * np.linalg.norm(dk) * (1 + 1e-12)
+    # The map's exact norm, its largest singular value on symmetric dK.
+    pair_map = np.zeros((links, n, n))
+    pair_map[np.arange(links), i, i] = pair_map[np.arange(links), j, j] = 1.0
+    pair_map[np.arange(links), i, j] = pair_map[np.arange(links), j, i] = -1.0
+    assert np.linalg.norm(pair_map.reshape(links, -1), 2) <= terms.gain * (1 + 1e-12)
+
+
 def test_a_workspace_is_reused_without_aliasing(rng):
     observed, mask, vectors = _noisy_problem(rng, 10, 0.9)
     terms = _cost_terms(observed, mask)
@@ -614,6 +639,41 @@ def _assert_same_run(run, want):
     assert (run.generations_used, run.stop_reason, run.evaluations) == (
         want.generations_used, want.stop_reason, want.evaluations
     )
+
+
+@pytest.mark.parametrize(
+    "config, one_missing",
+    [(SolverConfig(parent_fraction=1.0, max_generations=30), False),
+     (SolverConfig(population_size=4, max_generations=30), False),
+     (SolverConfig(max_generations=30), True)],
+    ids=["no_immigrants", "population_4", "one_missing_pair"],
+)
+def test_a_group_breeds_each_trial_as_it_breeds_alone(config, one_missing, wave40):
+    # A group breeds and selects on arrays stacked over its trials: with no
+    # immigrants, with the smallest population (all parents, each with two
+    # donor candidates besides itself) and with one missing value per
+    # trial, each trial must still run as it runs alone.
+    seeds, observed, masks = range(4), [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 6)))
+        if one_missing:
+            links = ~np.eye(6, dtype=bool)
+            links[seed, seed + 1] = links[seed + 1, seed] = False
+            masks.append(AdjacencyMask(links))
+        else:
+            masks.append(random_completable_mask(6, 0.8, rng))
+        observed.append(
+            sample_edm_statistical(layout, masks[-1], db_to_linear(34.0), wave40, rng)
+        )
+    group = complete_and_localize_group(
+        observed, masks, 2, config, [np.random.default_rng(s) for s in seeds]
+    )
+    assert len({run.generations_used for run in group}) > 1  # trials leave apart
+    for run, o, mask, seed in zip(group, observed, masks, seeds):
+        alone = complete_and_localize(o, mask, 2, config, np.random.default_rng(seed))
+        _assert_same_run(run, alone)
+        assert run.ruled_out == alone.ruled_out
 
 
 def _without_ceilings(patch):
