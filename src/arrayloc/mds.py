@@ -59,11 +59,12 @@ def _smallest_columns(keys: np.ndarray, k: int) -> np.ndarray:
 
 
 def _eigh_pairs(matrices: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``leading_eigenpairs`` by a full ``eigh``, ties to the lower index."""
+    """The m pairs of largest |eigenvalue| per matrix by a full ``eigh``, ties
+    to the lower index: values (P, m), orthonormal vectors (m, P, N) planes."""
     values, vectors = np.linalg.eigh(matrices)
     order = _smallest_columns(-np.abs(values), m)
     rows = np.arange(matrices.shape[0])[:, None]
-    return values[rows, order], vectors[rows.T, :, order.T].transpose(1, 2, 0)
+    return values[rows, order], vectors[rows.T, :, order.T]
 
 
 # A row is proven when its Ritz residual is at most _CERTIFY_TOL * |lambda_1|.
@@ -146,7 +147,7 @@ def _ritz_pairs(
 def _coordinates(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """(P, N, m) embedding of the pairs on (m, P, N) planes: a value < 0 gives 0."""
     scale = np.sqrt(np.clip(values, 0.0, None)).T[:, :, None]
-    return (scale * vectors.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return (scale * vectors).transpose(1, 2, 0)
 
 
 def _spread(
@@ -173,7 +174,7 @@ def _spread(
 def _planar_pairs(
     g: np.ndarray, scratch: np.ndarray | None = None, needed=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``leading_eigenpairs`` for m = 2 and N >= 3: proven rows, else eigh.
+    """``_eigh_pairs`` for m = 2 and N >= 3: proven rows, else eigh.
 
     Steps on G^8 and G.G, powers of G / ||G||_F so that none overflows, find
     the basis; the Ritz pairs theta_j and residual are those of G.  A row is
@@ -190,7 +191,7 @@ def _planar_pairs(
 
     The powers of G / ||G||_F are stored in ``scratch``, two (P, N, N)
     buffers, fresh ones when it is None; nothing returned points into it.
-    ``needed`` is as in ``leading_eigenpairs``.
+    ``needed`` is as in ``embed_gram``.
     """
     p, n, _ = g.shape
     values = np.full((p, 2), np.nan)  # NaN until proven
@@ -203,9 +204,8 @@ def _planar_pairs(
     # The stages' arrays are freed by now, before eigh adds its own.
     unproven = np.flatnonzero(np.isnan(values[:, 0]))
     if unproven.size:
-        values[unproven], vectors = _eigh_pairs(g[unproven], 2)
-        planes[:, unproven] = vectors.transpose(2, 0, 1)
-    return values, planes.transpose(1, 2, 0)
+        values[unproven], planes[:, unproven] = _eigh_pairs(g[unproven], 2)
+    return values, planes
 
 
 def _prove_pairs(
@@ -245,7 +245,7 @@ def _prove_pairs(
         spread = _spread(lead, residual, norm[rows], rest, n) if needed else np.inf
         bounded = np.flatnonzero(~ok & (spread < np.inf))
         if bounded.size:
-            ritz = _coordinates(lead[bounded], y[:, bounded].transpose(1, 2, 0))
+            ritz = _coordinates(lead[bounded], y[:, bounded])
             drop = bounded[~needed(rows[bounded], ritz, spread[bounded])]
             values[rows[drop]], planes[:, rows[drop]] = 0.0, 0.0
             more[drop] = False
@@ -268,40 +268,29 @@ def _prove_pairs(
     certify(x, _times(x, np.take(g, rows, axis=0, out=own[1], mode="clip")), rows)
 
 
-def leading_eigenpairs(
-    matrices: np.ndarray, m: int, scratch: np.ndarray | None = None, needed=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """m eigenpairs of largest |eigenvalue| per matrix of a symmetric stack.
-
-    Values come as (P, m) by descending magnitude; orthonormal vectors as
-    (P, N, m).  For m = 2 and N >= 3 a row takes the subspace-iteration
-    answer when it is proven (see ``_planar_pairs``) and a full ``eigh``
-    otherwise.  Ties in magnitude go to the lower ``eigh`` index on
-    ``eigh`` rows only; on proven rows an exact tie is broken arbitrarily,
-    which leaves the distances of the embedding unchanged.  ``scratch``
-    is handed to ``_planar_pairs``.  ``needed(rows, coords, spread)`` sees
-    the rows that a stage does not prove but bounds: indices (R,), Ritz
-    embeddings (R, N, 2) and ``_spread`` (R,).  It returns which rows need
-    their exact pairs; the others get zero values and vectors.
-    """
-    if m == 2 and matrices.shape[-1] >= 3:
-        return _planar_pairs(matrices, scratch, needed)
-    return _eigh_pairs(matrices, m)
-
-
 def embed_gram(
     gram: np.ndarray, m: int, scratch: np.ndarray | None = None, needed=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The m-dimensional embedding of each matrix of a (P, N, N) Gram stack.
 
-    The stack must be exactly symmetric.  Returns the m leading eigenvalues
-    (P, m), unclipped, and the coordinates (P, N, m); a negative eigenvalue
-    gives a zero coordinate.  A caller that embeds stack after stack passes
-    the same (2, P, N, N) ``scratch`` each time (see ``_planar_pairs``);
-    ``needed`` is as in ``leading_eigenpairs``.
+    The stack must be exactly symmetric.  Returns the m eigenvalues largest
+    in magnitude, (P, m) by descending magnitude and unclipped, and the
+    coordinates (P, N, m); a negative eigenvalue gives a zero coordinate.
+    For m = 2 and N >= 3 a proven row takes the subspace answer (see
+    ``_planar_pairs``), and every other row a full ``eigh``, whose ties in
+    magnitude go to the lower index; a proven row breaks an exact tie
+    arbitrarily, which leaves its distances unchanged.  A caller that embeds
+    stack after stack passes the same (2, P, N, N) ``scratch`` each time.
+    ``needed(rows, coords, spread)`` sees the rows that a stage does not
+    prove but bounds: indices (R,), Ritz embeddings (R, N, 2) and
+    ``_spread`` (R,).  It returns which rows need their exact pairs; the
+    others get zero values and coordinates.
     """
-    values, vectors = leading_eigenpairs(gram, m, scratch, needed)
-    return values, _coordinates(values, vectors)
+    if m == 2 and gram.shape[-1] >= 3:
+        values, planes = _planar_pairs(gram, scratch, needed)
+    else:
+        values, planes = _eigh_pairs(gram, m)
+    return values, _coordinates(values, planes)
 
 
 def batched_mds(stack: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

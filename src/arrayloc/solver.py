@@ -133,11 +133,11 @@ class _CostTerms:
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Every per-generation array of ``_batched_costs``, for up to P rows.
+    """Every per-generation array of ``_bounded_costs``, for up to P rows.
 
     The solver allocates one per group of trials, so no generation faults
     its working set back in; a batch of p rows, over all its trials, uses
-    the leading p rows of each buffer.  Nothing ``_batched_costs`` returns
+    the leading p rows of each buffer.  Nothing ``_bounded_costs`` returns
     points into it.
     """
 
@@ -257,13 +257,6 @@ def _pair_costs(
     return np.sum(np.multiply(residual, residual, out=residual), axis=-1)
 
 
-def _batched_costs(
-    vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None
-) -> np.ndarray:
-    """The exact cost of each candidate row (see ``_bounded_costs``)."""
-    return _bounded_costs(vectors, terms, m, work)[0]
-
-
 def _bounded_costs(
     vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None,
     ceilings: np.ndarray | None = None,
@@ -313,7 +306,9 @@ def evaluate_cost(
         raise ValueError(
             f"candidate has {vector.shape[1]} entries, mask misses {n_missing}"
         )
-    return float(_batched_costs(vector, _cost_terms(observed, mask), m)[0])
+    if not np.all(np.isfinite(vector)):
+        raise ValueError("candidate entries must be finite")
+    return float(_bounded_costs(vector, _cost_terms(observed, mask), m)[0][0])
 
 
 def _geodesic_upper_bounds(
@@ -418,7 +413,7 @@ def _evolve(searches: list[_Search], m: int, config: SolverConfig) -> None:
         population = np.stack([s.population for s in live])
         t, _, n_vars = population.shape
         work = _Workspace.allocate(t * width, terms, m)
-        costs = _batched_costs(population, terms, m, work)
+        costs = _bounded_costs(population, terms, m, work)[0]
         for search, scored, rows in zip(live, costs, population):
             best = int(np.argmin(scored))
             search.record(float(scored[best]), rows[best].copy(), scored.size, 0)

@@ -17,7 +17,7 @@ from arrayloc.geometry import (
     mask_edm,
     random_completable_mask,
 )
-from arrayloc.mds import batched_mds, classical_mds, gram_from_edm, leading_eigenpairs
+from arrayloc.mds import batched_mds, classical_mds, gram_from_edm
 from arrayloc.solver import _geodesic_upper_bounds
 
 
@@ -61,8 +61,8 @@ def test_gram_requires_complete_matrix(rng):
 
 def test_leading_eigenpairs_by_magnitude(rng):
     a = rng.standard_normal((8, 8))
-    values, vectors = leading_eigenpairs((a + a.T)[None], 8)
-    values, vectors = values[0], vectors[0]
+    values, vectors = mds._eigh_pairs((a + a.T)[None], 8)
+    values, vectors = values[0], vectors[:, 0].T  # (N, m) from (m, 1, N) planes
     mags = np.abs(values)
     assert np.all(mags[:-1] >= mags[1:] - 1e-12)
     assert np.allclose(vectors.T @ vectors, np.eye(8), atol=1e-10)
@@ -113,7 +113,8 @@ GRAM_KINDS = [
 
 
 def _weighted_projector(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return np.einsum("pik,pk,pjk->pij", vectors, values, vectors)
+    """sum_k values_k v_k v_k^T per row, for vectors on (m, P, N) planes."""
+    return np.einsum("kpi,pk,kpj->pij", vectors, values, vectors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,13 +128,13 @@ def test_planar_pairs_match_eigh(seed, n, kinds):
     stack = np.concatenate([_gram_stack(kind, 5, n, rng) for kind in kinds])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, vectors = leading_eigenpairs(stack, 2)
+        values, vectors = mds._planar_pairs(stack)
     want_values, want_vectors = mds._eigh_pairs(stack, 2)
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
     mags = np.abs(values)
     assert np.all(mags[:, 0] >= mags[:, 1])
     assert np.allclose(
-        vectors.transpose(0, 2, 1) @ vectors, np.eye(2), rtol=0.0, atol=1e-12
+        np.einsum("ipn,jpn->pij", vectors, vectors), np.eye(2), rtol=0.0, atol=1e-12
     )
     tol = 1e-9 * np.abs(want_values[:, 0])
     assert np.all(np.abs(values - want_values) <= tol[:, None])
@@ -165,15 +166,21 @@ def test_only_unproven_rows_reach_eigh(rng, monkeypatch):
             for kind in ("noisy_planar", "polygon", "negative")
         ]
     )
-    leading_eigenpairs(near_rank_two, 2)
+    mds.embed_gram(near_rank_two, 2)
     assert seen == []  # every row proven
     degenerate = np.concatenate(
         [_gram_stack(kind, 3, 9, rng) for kind in ("collinear", "coincident")]
     )
-    leading_eigenpairs(np.concatenate([near_rank_two, degenerate]), 2)
+    mds.embed_gram(np.concatenate([near_rank_two, degenerate]), 2)
     assert [len(s) for s in seen] == [6]  # the collinear and coincident rows
-    leading_eigenpairs(near_rank_two, 3)
+    mds.embed_gram(near_rank_two, 3)
     assert [len(s) for s in seen] == [6, 60]  # any other m is all eigh
+    two_nodes = _gram_stack("noisy_planar", 4, 2, rng)
+    values, _ = mds.embed_gram(two_nodes, 2)
+    assert [len(s) for s in seen] == [6, 60, 4]  # and so is N < 3
+    want = np.linalg.eigh(two_nodes)[0]
+    order = np.argsort(-np.abs(want), axis=1, kind="stable")
+    assert np.array_equal(values, np.take_along_axis(want, order, axis=1))
 
 
 def _gram_with_spectrum(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -233,7 +240,7 @@ def test_certificate_keeps_separated_rows_and_rejects_crowded_ones(seed, n):
     )
     with pytest.MonkeyPatch.context() as mp:
         seen = _eigh_spy(mp)
-        leading_eigenpairs(stack, 2)
+        mds._planar_pairs(stack)
     assert len(seen) == 1 and np.array_equal(seen[0], stack[crowded])
 
 
@@ -251,7 +258,7 @@ def test_elongated_near_rank_two_rows_are_proven(rng, monkeypatch):
                 for _ in range(20)
             ]
         )
-        leading_eigenpairs(stack, 2)
+        mds._planar_pairs(stack)
     assert seen == []
 
 
@@ -299,11 +306,11 @@ def test_planar_pairs_are_scale_free(scale, rng, monkeypatch):
     # G^8 of a Gram at 1e100 would overflow; the powers are taken of
     # G / ||G||_F, so every row stays proven and scales exactly.
     stack = _gram_stack("noisy_planar", 40, 9, rng)
-    want_values, want_vectors = leading_eigenpairs(stack, 2)
+    want_values, want_vectors = mds._planar_pairs(stack)
     seen = _eigh_spy(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, vectors = leading_eigenpairs(scale * stack, 2)
+        values, vectors = mds._planar_pairs(scale * stack)
     assert seen == []
     lead = np.abs(want_values[:, 0])
     assert np.all(np.abs(values / scale - want_values) <= 1e-12 * lead[:, None])
@@ -346,7 +353,7 @@ def test_a_turned_down_row_lies_within_its_spread(seed, n, kinds):
     # zero values and vectors; every other row keeps its bits.
     rng = np.random.default_rng(seed)
     stack = np.concatenate([_bounded_stack(kind, n, rng) for kind in kinds])
-    values, vectors = leading_eigenpairs(stack, 2)
+    values, vectors = mds._planar_pairs(stack)
     exact = [
         mds._coordinates(*pairs) for pairs in ((values, vectors), mds._eigh_pairs(stack, 2))
     ]
@@ -364,10 +371,11 @@ def test_a_turned_down_row_lies_within_its_spread(seed, n, kinds):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_values, got_vectors = leading_eigenpairs(stack, 2, needed=needed)
-    assert np.all(got_values[dropped] == 0.0) and np.all(got_vectors[dropped] == 0.0)
+        got_values, got_vectors = mds._planar_pairs(stack, needed=needed)
+    assert np.all(got_values[dropped] == 0.0)
+    assert np.all(got_vectors[:, dropped] == 0.0)
     assert np.array_equal(got_values[~dropped], values[~dropped])
-    assert np.array_equal(got_vectors[~dropped], vectors[~dropped])
+    assert np.array_equal(got_vectors[:, ~dropped], vectors[:, ~dropped])
 
 
 def _solver_like_stack(n: int, rng: np.random.Generator) -> np.ndarray:

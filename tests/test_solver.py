@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from arrayloc.solver import (
     SolverConfig,
     _CostTerms,
     _Workspace,
-    _batched_costs,
     _bounded_costs,
     _cost_terms,
     _geodesic_upper_bounds,
@@ -96,9 +96,16 @@ def test_cost_grid_scan_finds_the_missing_edge(rng):
 
 
 def test_cost_rejects_wrong_vector_length(rng):
-    _, mask, observed = _masked_problem(rng)
+    layout, mask, observed = _masked_problem(rng)
     with pytest.raises(ValueError):
         evaluate_cost(np.zeros(99), observed, mask, 2)
+    # A non-finite entry is rejected before any work, with no warning.
+    for bad in (np.nan, np.inf, -np.inf):
+        vector = _true_missing_vector(layout, mask)
+        vector[-1] = bad
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="finite"):
+            warnings.simplefilter("error")
+            evaluate_cost(vector, observed, mask, 2)
 
 
 @pytest.mark.parametrize("m", [0, 7])
@@ -153,9 +160,11 @@ def test_complete_mask_cost_is_the_batched_cost(wave40):
 
 
 def _reference_costs(vectors, observed, mask, m):
-    """F(p) = 1/2 ||W o (D_obs - edm(mds(complete(D_obs, p))))||_F^2, computed
-    as written: fill each candidate in, run MDS on the complete matrix, and
-    weight the full N x N residual by the mask."""
+    """F(p) = 1/2 ||W o (Dbar - edm(mds(complete(D_obs, p))))||_F^2, Dbar =
+    (D_obs + D_obs^T) / 2, computed as written: fill each candidate in, run
+    MDS on the complete matrix, and weight the full N x N residual by the
+    mask.  Scoring D_obs itself would add the sum of (d_ij - d_ji)^2 / 4,
+    which is not part of the cost."""
     entries = mask.filled(observed.entries, 0.0)
     weights = mask.mask.astype(float)
     _, coords = batched_mds(mask.filled(entries, vectors), m)
@@ -165,7 +174,7 @@ def _reference_costs(vectors, observed, mask, m):
         + sq_norms[:, None, :]
         - 2.0 * coords @ coords.transpose(0, 2, 1)
     )
-    residual = (entries - recon) * weights
+    residual = (0.5 * (entries + entries.T) - recon) * weights
     return 0.5 * np.sum(residual**2, axis=(1, 2))
 
 
@@ -227,11 +236,9 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
     # differ by 1e-8 relative; that is the eigen core's tolerance, tested
     # in test_mds.py, not the cost formula's.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            mds, "leading_eigenpairs", lambda g, m, *_: mds._eigh_pairs(g, m)
-        )
+        patch.setattr(mds, "_planar_pairs", lambda g, *_: mds._eigh_pairs(g, 2))
         np.testing.assert_allclose(
-            _batched_costs(vectors, terms, 2),
+            _bounded_costs(vectors, terms, 2)[0],
             _reference_costs(vectors, observed, mask, 2),
             rtol=1e-9,
             atol=0.0,
@@ -249,24 +256,25 @@ def test_a_row_costs_alike_alone_and_in_any_batch(n, c, rng):
     if c == 0.5:
         assert vectors.shape[1] == 52  # many basis columns in the product
     terms = _cost_terms(observed, mask)
-    costs = _batched_costs(vectors, terms, 2)
+    costs = _bounded_costs(vectors, terms, 2)[0]
     for i in range(0, 400, 3):
         lo = max(0, i - 3)
-        assert _batched_costs(vectors[i : i + 1], terms, 2)[0] == costs[i]
-        assert _batched_costs(vectors[lo : lo + 7], terms, 2)[i - lo] == costs[i]
+        assert _bounded_costs(vectors[i : i + 1], terms, 2)[0][0] == costs[i]
+        assert _bounded_costs(vectors[lo : lo + 7], terms, 2)[0][i - lo] == costs[i]
     for i in (0, 399):
         assert evaluate_cost(vectors[i], observed, mask, 2) == costs[i]
     # m = 1 and m = 3 take eigh and the general-m residual.
     for m in (1, 3):
-        alone = _batched_costs(vectors, terms, m)
+        alone = _bounded_costs(vectors, terms, m)[0]
         for i in range(0, 400, 37):
-            assert _batched_costs(vectors[i : i + 1], terms, m)[0] == alone[i]
+            assert _bounded_costs(vectors[i : i + 1], terms, m)[0][0] == alone[i]
     for m in (1, 2, 3):
         work = _Workspace.allocate(400, terms, m)
         for rows in (1, 7, 200, 400):
             batch = vectors[400 - rows :]
             assert np.array_equal(
-                _batched_costs(batch, terms, m, work), _batched_costs(batch, terms, m)
+                _bounded_costs(batch, terms, m, work)[0],
+                _bounded_costs(batch, terms, m)[0],
             )
 
 
@@ -287,10 +295,10 @@ def test_a_ruled_out_row_costs_more_than_its_ceiling(seed, n, kind):
     observed, mask, vectors = _noisy_problem(rng, n, c, rows=200, kind=kind)
     assume(vectors.shape[1] > 0)
     terms = _cost_terms(observed, mask)
-    exact = _batched_costs(vectors, terms, 2)
+    exact = _bounded_costs(vectors, terms, 2)[0]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mds, "leading_eigenpairs", lambda g, m, *_: mds._eigh_pairs(g, m))
-        by_eigh = _batched_costs(vectors, terms, 2)
+        patch.setattr(mds, "_planar_pairs", lambda g, *_: mds._eigh_pairs(g, 2))
+        by_eigh = _bounded_costs(vectors, terms, 2)[0]
     ceilings = np.quantile(exact, [0.02, 0.3])
     pair = _CostTerms.stack([terms, terms])
     costs, ruled = _bounded_costs(np.stack([vectors] * 2), pair, 2, None, ceilings)
@@ -331,9 +339,9 @@ def test_a_workspace_is_reused_without_aliasing(rng):
     observed, mask, vectors = _noisy_problem(rng, 10, 0.9)
     terms = _cost_terms(observed, mask)
     work = _Workspace.allocate(400, terms, 2)
-    first = _batched_costs(vectors[:200], terms, 2, work)
+    first = _bounded_costs(vectors[:200], terms, 2, work)[0]
     kept = first.copy()
-    second = _batched_costs(vectors[200:], terms, 2, work)
+    second = _bounded_costs(vectors[200:], terms, 2, work)[0]
     assert np.array_equal(first, kept)
     assert not np.array_equal(first, second)
     values, coords = embed_gram(_grams(vectors, terms, work), 2, work.powers)
