@@ -286,8 +286,8 @@ def _alignments(
     run: SolverRun, observed: Edm, mask: AdjacencyMask, truth: NodeLayout
 ) -> list[AlignmentResult]:
     """Each generation's best layout aligned onto the truth; the last is the run's."""
-    _, coords = batched_mds(mask.filled(observed.entries, run.best_vector_history), 2)
-    return [align_and_evm(NodeLayout(c.T), truth) for c in coords]
+    _, xy = batched_mds(mask.filled(observed.entries, run.best_vector_history), 2)
+    return [align_and_evm(NodeLayout(xy[:, g]), truth) for g in range(xy.shape[1])]
 
 
 def _trial_inputs(task: _TrialTask):

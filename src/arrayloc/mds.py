@@ -16,10 +16,10 @@ residual and a fourth-moment bound prove it.  A caller may turn down an
 unproven row from its Ritz embedding and an error bound, leaving it zero;
 every other row, and every other m, goes through a full ``eigh``.  Each
 row's result depends on that row alone, never on the rest of the stack.
-The basis, its products and the vectors are axis-major, one contiguous
-(P, N) plane per vector; BLAS reads and writes their (P, 2, N) views in
-place, with leading dimension P N, and each (P, N, m) result is a view of
-such planes.
+The basis, its products, the vectors and the coordinates are axis-major,
+one contiguous (P, N) plane per vector or axis; BLAS reads and writes
+their (P, 2, N) views in place, with leading dimension P N.  Of (m, P, N)
+coordinates, coords[:, p] is matrix p's layout as a ``NodeLayout`` holds it.
 """
 
 from __future__ import annotations
@@ -145,9 +145,8 @@ def _ritz_pairs(
 
 
 def _coordinates(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """(P, N, m) embedding of the pairs on (m, P, N) planes: a value < 0 gives 0."""
-    scale = np.sqrt(np.clip(values, 0.0, None)).T[:, :, None]
-    return (scale * vectors).transpose(1, 2, 0)
+    """(m, P, N) embedding of the pairs on (m, P, N) planes: a value < 0 gives 0."""
+    return np.sqrt(np.clip(values, 0.0, None)).T[:, :, None] * vectors
 
 
 def _spread(
@@ -275,14 +274,14 @@ def embed_gram(
 
     The stack must be exactly symmetric.  Returns the m eigenvalues largest
     in magnitude, (P, m) by descending magnitude and unclipped, and the
-    coordinates (P, N, m); a negative eigenvalue gives a zero coordinate.
+    (m, P, N) coordinate planes; a negative eigenvalue gives a zero coordinate.
     For m = 2 and N >= 3 a proven row takes the subspace answer (see
     ``_planar_pairs``), and every other row a full ``eigh``, whose ties in
     magnitude go to the lower index; a proven row breaks an exact tie
     arbitrarily, which leaves its distances unchanged.  A caller that embeds
     stack after stack passes the same (2, P, N, N) ``scratch`` each time.
     ``needed(rows, coords, spread)`` sees the rows that a stage does not
-    prove but bounds: indices (R,), Ritz embeddings (R, N, 2) and
+    prove but bounds: indices (R,), Ritz embeddings (2, R, N) and
     ``_spread`` (R,).  It returns which rows need their exact pairs; the
     others get zero values and coordinates.
     """
@@ -331,4 +330,4 @@ def classical_mds(edm: Edm, m: int) -> NodeLayout:
             RuntimeWarning,
             stacklevel=2,
         )
-    return NodeLayout(coords[0].T)
+    return NodeLayout(coords[:, 0])

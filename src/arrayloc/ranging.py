@@ -115,7 +115,8 @@ def write_waveform_csv(path: str | Path, waveform: TwoToneWaveform) -> None:
 def crlb_sigma_d(bandwidth_hz, pulse_s, snr_linear, sample_rate_hz):
     """Range-error standard deviation bound c / sqrt(2 (pi B)^2 tau_p SNR fs).
 
-    Accepts scalars or arrays (elementwise); infinite SNR gives 0.
+    Accepts scalars or arrays (elementwise); infinite SNR gives 0.  A bound
+    out of floating-point range, not finite or 0 at a finite SNR, is an error.
     """
     b = np.asarray(bandwidth_hz, dtype=float)
     tau = np.asarray(pulse_s, dtype=float)
@@ -124,7 +125,10 @@ def crlb_sigma_d(bandwidth_hz, pulse_s, snr_linear, sample_rate_hz):
     positive = all(np.all(x > 0) for x in (b, tau, snr, fs))  # False on NaN
     if not positive or not all(np.all(np.isfinite(x)) for x in (b, tau, fs)):
         raise ValueError("bound arguments must be positive, and finite but for SNR")
-    out = SPEED_OF_LIGHT / np.sqrt(2.0 * (np.pi * b) ** 2 * tau * snr * fs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = SPEED_OF_LIGHT / np.sqrt(2.0 * (np.pi * b) ** 2 * tau * snr * fs)
+    if not np.all(np.isfinite(out)) or np.any((out == 0.0) & np.isfinite(snr)):
+        raise ValueError("range-error bound is out of floating-point range")
     if out.ndim == 0:
         return float(out)
     return out

@@ -20,7 +20,10 @@ from .geometry import Edm, read_csv, write_csv
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB is out of floating-point range") from None
 
 
 def linear_to_db(x: float) -> float:

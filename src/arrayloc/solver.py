@@ -116,19 +116,20 @@ class SolverRun:
 class _CostTerms:
     """The parts of the cost that depend on the trial only, not on a candidate.
 
-    ``stack`` puts the terms of T trials of one shape on a leading axis.
+    Each field stacks T trials of one shape on a leading axis, a stack of
+    one from ``_cost_terms``; ``stack`` joins stacks along it.
     """
 
-    basis: np.ndarray  # (1 + n_missing, N, N): G_0, then B_k per missing pair
-    rows: np.ndarray  # measured pairs i < j
+    basis: np.ndarray  # (T, 1 + n_missing, N, N): G_0, then B_k per missing pair
+    rows: np.ndarray  # (T, L) measured pairs i < j
     cols: np.ndarray
-    target: np.ndarray  # (d_ij + d_ji) / 2 at those pairs
-    gain: np.ndarray  # () bound on ||A||, A(K) = (K_ii + K_jj - 2 K_ij) over the pairs
+    target: np.ndarray  # (T, L) (d_ij + d_ji) / 2 at those pairs
+    gain: np.ndarray  # (T,) bound on ||A||, A(K) = (K_ii + K_jj - 2 K_ij) at the pairs
 
     @classmethod
     def stack(cls, terms: list[_CostTerms]) -> _CostTerms:
-        names = [f.name for f in fields(cls)]
-        return cls(*(np.stack([getattr(t, name) for t in terms]) for name in names))
+        columns = ([getattr(t, f.name) for t in terms] for f in fields(cls))
+        return cls(*map(np.concatenate, columns))
 
 
 @dataclass(frozen=True)
@@ -196,25 +197,22 @@ def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
     # rows sum to deg_i + deg_j - 2: Gershgorin bounds ||A||^2 by the most.
     degree = np.count_nonzero(mask.mask, axis=1)
     return _CostTerms(
-        basis=_double_centre(stack),
-        rows=i,
-        cols=j,
-        target=0.5 * (observed.entries[i, j] + observed.entries[j, i]),
-        gain=np.sqrt(2.0 + np.max(degree[i] + degree[j], initial=0)),
+        basis=_double_centre(stack)[None],
+        rows=i[None],
+        cols=j[None],
+        target=0.5 * (observed.entries[i, j] + observed.entries[j, i])[None],
+        gain=np.sqrt(2.0 + np.max(degree[i] + degree[j], initial=0))[None],
     )
 
 
 def _grams(vectors: np.ndarray, terms: _CostTerms, work: _Workspace) -> np.ndarray:
-    """G_0 + sum_k p_k B_k for each candidate row p of ``vectors``, in ``work``.
-
-    ``vectors`` is (P, K) for one trial's terms or (T, P, K) for T stacked
-    trials; the Gram matrices come back as one (T P, N, N) stack.
+    """G_0 + sum_k p_k B_k for each candidate row p of the (T, P, K)
+    ``vectors``, in ``work``: one (T P, N, N) stack of Gram matrices.
     """
-    *trials, p, n_vars = vectors.shape
-    k, n, _ = terms.basis.shape[-3:]
-    rows = math.prod(vectors.shape[:-1])
-    coeffs, grams = work.coeffs[:rows], work.grams[:rows]
-    coeffs[:, 0, 1:] = vectors.reshape(rows, n_vars)
+    t, p, n_vars = vectors.shape
+    _, k, n, _ = terms.basis.shape
+    coeffs, grams = work.coeffs[: t * p], work.grams[: t * p]
+    coeffs[:, 0, 1:] = vectors.reshape(t * p, n_vars)
     # One (1, K) @ (K, N^2) product per row keeps each row's sums in one
     # order whatever the batch size or its trials, which a single gemm over
     # the batch does not.  Every basis matrix is exactly symmetric, so
@@ -222,9 +220,9 @@ def _grams(vectors: np.ndarray, terms: _CostTerms, work: _Workspace) -> np.ndarr
     # comes out exactly symmetric, as the G^8 steps and eigh's one-triangle
     # read require.
     np.matmul(
-        coeffs.reshape(*trials, p, 1, k),
-        terms.basis.reshape(*trials, 1, k, n * n),
-        out=grams.reshape(*trials, p, 1, n * n),
+        coeffs.reshape(t, p, 1, k),
+        terms.basis.reshape(t, 1, k, n * n),
+        out=grams.reshape(t, p, 1, n * n),
     )
     return grams
 
@@ -232,8 +230,8 @@ def _grams(vectors: np.ndarray, terms: _CostTerms, work: _Workspace) -> np.ndarr
 def _pair_costs(
     coords: np.ndarray, terms: _CostTerms, starts: np.ndarray, work: _Workspace
 ) -> np.ndarray:
-    """The cost of each embedding of ``coords`` (R, N, m), (R,): rows
-    starts[t]:starts[t + 1] belong to the t-th trial of ``terms``."""
+    """The cost of each embedding of the (m, R, N) planes ``coords``, (R,):
+    rows starts[t]:starts[t + 1] belong to the t-th trial of ``terms``."""
     # np.take gathers each end of the measured pairs into a C-ordered
     # (R, L) block of the workspace, one trial and one axis at a time;
     # coords[:, rows] would be strided, and a row's sum over a strided
@@ -241,18 +239,17 @@ def _pair_costs(
     # the block ("raise" would buffer), and every index is in range, so it
     # clips nothing.  Adding the axes' squares to zero in axis order gives
     # the bits that one sum over an (m, L) block of squares gives.
-    rows, pairs = len(coords), work.gaps.shape[-1]
+    rows = coords.shape[1]
     (gap, other), residual = work.gaps[:, :rows], work.residual[:rows]
-    ends = list(zip(terms.rows.reshape(-1, pairs), terms.cols.reshape(-1, pairs)))
-    blocks = [slice(*starts[t : t + 2]) for t in range(len(ends))]
+    blocks = [slice(*starts[t : t + 2]) for t in range(len(terms.rows))]
     residual[:] = 0.0
-    for coord in np.ascontiguousarray(coords.transpose(2, 0, 1)):
-        for block, (i, j) in zip(blocks, ends):
+    for coord in coords:
+        for block, i, j in zip(blocks, terms.rows, terms.cols):
             np.take(coord[block], i, axis=1, out=gap[block], mode="clip")
             np.take(coord[block], j, axis=1, out=other[block], mode="clip")
         np.subtract(gap, other, out=gap)
         residual += np.multiply(gap, gap, out=gap)
-    for block, target in zip(blocks, terms.target.reshape(-1, pairs)):
+    for block, target in zip(blocks, terms.target):
         np.subtract(target, residual[block], out=residual[block])
     return np.sum(np.multiply(residual, residual, out=residual), axis=-1)
 
@@ -261,36 +258,33 @@ def _bounded_costs(
     vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None,
     ceilings: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cost of each candidate row, and which rows were ruled out.
-
-    ``vectors`` is (P, K) for one trial's terms, giving (P,) arrays, or
-    (T, P, K) for T trials' stacked terms, giving (T, P); ``work`` defaults
-    to fresh buffers.  A row is ruled out, and costs +inf, when its cost
-    provably exceeds its trial's entry of ``ceilings``: the measured squared
+    """The cost of each candidate row of the (T, P, K) ``vectors``, and which
+    rows were ruled out, as (T, P) arrays; ``work`` defaults to fresh
+    buffers.  A row is ruled out, and costs +inf, when its cost provably
+    exceeds its trial's entry of the (T,) ``ceilings``: the measured squared
     distances of Gram matrices K, K~ differ by A(K - K~), ``_CostTerms.gain``
     bounds ||A|| and the row's ``mds._spread`` E bounds ||K - K~||_F, so
     sqrt(F) >= sqrt(F~) - gain E for F~ the cost of its Ritz embedding.
     """
-    shape = vectors.shape[:-1]
-    rows, p = math.prod(shape), shape[-1]
-    work = _Workspace.allocate(rows, terms, m) if work is None else work
-    starts = np.arange(0, rows + 1, p)
-    ruled = np.zeros(rows, dtype=bool)
+    t, p, _ = vectors.shape
+    work = _Workspace.allocate(t * p, terms, m) if work is None else work
+    starts = np.arange(0, t * p + 1, p)
+    ruled = np.zeros(t * p, dtype=bool)
 
     def needed(at, coords, spread):
         floor = np.sqrt(_pair_costs(coords, terms, np.searchsorted(at, starts), work))
-        floor -= np.reshape(terms.gain, -1)[at // p] * spread
+        floor -= terms.gain[at // p] * spread
         # 1e-6: a margin far above the rounding of a cost sum
-        ceiling = np.reshape(ceilings, -1)[at // p] * (1.0 + 1e-6)
+        ceiling = ceilings[at // p] * (1.0 + 1e-6)
         out = (floor > 0.0) & (floor**2 > ceiling)
         ruled[at[out]] = True
         return ~out
 
     grams, bound = _grams(vectors, terms, work), None if ceilings is None else needed
-    _, coords = embed_gram(grams, m, work.powers[:, :rows], bound)
+    _, coords = embed_gram(grams, m, work.powers[:, : t * p], bound)
     costs = _pair_costs(coords, terms, starts, work)
     costs[ruled] = np.inf
-    return costs.reshape(shape), ruled.reshape(shape)
+    return costs.reshape(t, p), ruled.reshape(t, p)
 
 
 def evaluate_cost(
@@ -301,14 +295,14 @@ def evaluate_cost(
     if not 1 <= m <= observed.count:
         raise ValueError("target dimension must lie in [1, node count]")
     n_missing = mask.missing_indices()[0].size
-    vector = np.asarray(vector, dtype=float).reshape(1, -1)
-    if vector.shape[1] != n_missing:
+    vector = np.asarray(vector, dtype=float).reshape(1, 1, -1)
+    if vector.shape[-1] != n_missing:
         raise ValueError(
-            f"candidate has {vector.shape[1]} entries, mask misses {n_missing}"
+            f"candidate has {vector.shape[-1]} entries, mask misses {n_missing}"
         )
     if not np.all(np.isfinite(vector)):
         raise ValueError("candidate entries must be finite")
-    return float(_bounded_costs(vector, _cost_terms(observed, mask), m)[0][0])
+    return float(_bounded_costs(vector, _cost_terms(observed, mask), m)[0][0, 0])
 
 
 def _geodesic_upper_bounds(

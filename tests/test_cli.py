@@ -295,6 +295,7 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         # (about -35 dB).
         {"snr_h_db": -40, "bandwidths_hz": [40e6, 10e6]},
         {"snr_h_db": -40, "layout": {"kind": "circle"}},
+        {"bandwidths_hz": [1e-300]},
     ],
     ids=[
         "solver-key", "layout-key", "float-trials", "float-population",
@@ -305,6 +306,7 @@ def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):
         "underflowing-snr", "retired-dim", "retired-solver-constant",
         "bool-parent-fraction", "snr-that-overflows", "snr-far-below-the-floor",
         "snr-below-the-floor-at-one-bandwidth", "snr-below-the-floor-of-a-ring",
+        "bound-that-overflows",
     ],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, overrides):
@@ -370,6 +372,10 @@ def test_crlb_subcommand_rejects_bad_arguments(capsys):
         ["--bandwidth", "40e6", "--snr-db", "34", "--pulse", "nan"],
         ["--bandwidth", "40e6", "--snr-db", "34", "--pulse", "inf"],
         ["--bandwidth", "40e6", "--snr-db", "34", "--fs", "inf"],
+        # Out of floating-point range: the SNR, the bound, the bound's inverse.
+        ["--bandwidth", "40e6", "--snr-db", "3500"],
+        ["--bandwidth", "1e-300", "--snr-db", "1000"],
+        ["--bandwidth", "1e100", "--snr-db", "3000", "--fs", "1e200"],
     ):
         code = main(["crlb", *bad])
         captured = capsys.readouterr()

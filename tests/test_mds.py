@@ -295,7 +295,7 @@ def test_second_stage_rows_embed_alike_alone_and_in_a_batch(rng, monkeypatch):
             alone_values, alone_coords = mds.embed_gram(g[None], 2)
             second.append(len(rows_per_stage) == 2)
             assert np.array_equal(alone_values[0], values[i])
-            assert np.array_equal(alone_coords[0], coords[i])
+            assert np.array_equal(alone_coords[:, 0], coords[:, i])
         # The batch's second stage ran, on the elongated rows that take it alone.
         assert batch == [18, sum(second)] and sum(second) > 0
         assert np.all(order[second] >= 12)
@@ -361,9 +361,9 @@ def test_a_turned_down_row_lies_within_its_spread(seed, n, kinds):
 
     def needed(rows, coords, spread):
         assert np.all(np.isfinite(spread)) and np.all(np.isfinite(coords))
-        ritz = coords @ coords.transpose(0, 2, 1)
+        ritz = np.einsum("kri,krj->rij", coords, coords)
         for want in exact:
-            gap = ritz - want[rows] @ want[rows].transpose(0, 2, 1)
+            gap = ritz - np.einsum("kri,krj->rij", want[:, rows], want[:, rows])
             assert np.all(np.sqrt(np.sum(gap**2, axis=(1, 2))) <= spread)
         keep = rng.random(rows.size) < 0.5
         dropped[rows[~keep]] = True
@@ -429,7 +429,7 @@ def test_a_row_scores_alike_alone_and_in_any_batch(n, rng):
         for batch, at in ((stack[i : i + 1], 0), (stack[lo : lo + 7], i - lo)):
             v, x = batched_mds(batch, 2)
             assert np.array_equal(v[at], values[i])
-            assert np.array_equal(x[at], coords[i])
+            assert np.array_equal(x[:, at], coords[:, i])
 
 
 def test_classical_mds_is_the_single_matrix_case_of_the_batch(rng):
@@ -441,8 +441,8 @@ def test_classical_mds_is_the_single_matrix_case_of_the_batch(rng):
         np.fill_diagonal(d, 0.0)
         stack.append(d)
     _, coords = batched_mds(np.array(stack), 2)
-    for d, batch in zip(stack, coords):
-        assert np.array_equal(classical_mds(Edm(d), 2).coords, batch.T)
+    for i, d in enumerate(stack):
+        assert np.array_equal(classical_mds(Edm(d), 2).coords, coords[:, i])
 
 
 def test_mds_two_points_on_a_line():

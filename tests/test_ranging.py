@@ -147,6 +147,11 @@ def test_crlb_rejects_non_positive_arguments():
         (40e6, np.inf, 1000.0, 200e6),
         (40e6, 10e-6, 1000.0, np.inf),
         (40e6, 10e-6, np.array([1000.0, np.nan]), 200e6),
+        # bounds out of floating-point range: infinite, 0 at a finite SNR,
+        # and 0 times an infinite SNR
+        (1e-300, 10e-6, 1000.0, 200e6),
+        (40e6, 10e-6, np.array([1000.0, 1e300]), 1e200),
+        (1e-300, 10e-6, np.inf, 200e6),
     ):
         with pytest.raises(ValueError):
             crlb_sigma_d(*args)

@@ -168,11 +168,11 @@ def _reference_costs(vectors, observed, mask, m):
     entries = mask.filled(observed.entries, 0.0)
     weights = mask.mask.astype(float)
     _, coords = batched_mds(mask.filled(entries, vectors), m)
-    sq_norms = np.sum(coords**2, axis=2)
+    sq_norms = np.sum(coords**2, axis=0)
     recon = (
         sq_norms[:, :, None]
         + sq_norms[:, None, :]
-        - 2.0 * coords @ coords.transpose(0, 2, 1)
+        - 2.0 * np.einsum("kpi,kpj->pij", coords, coords)
     )
     residual = (0.5 * (entries + entries.T) - recon) * weights
     return 0.5 * np.sum(residual**2, axis=(1, 2))
@@ -224,7 +224,7 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
         observed = Edm(observed.entries + skew * mask.mask, observed=mask)
         assert not np.array_equal(observed.entries, observed.entries.T)
     terms = _cost_terms(observed, mask)
-    grams = _grams(vectors, terms, _Workspace.allocate(len(vectors), terms, 2))
+    grams = _grams(vectors[None], terms, _Workspace.allocate(len(vectors), terms, 2))
     want = _double_centre(mask.filled(observed.entries, vectors))
     scale = np.sqrt(np.sum(want**2, axis=(1, 2)))
     assert np.all(np.abs(grams - want).max(axis=(1, 2)) <= 1e-12 * scale)
@@ -238,7 +238,7 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mds, "_planar_pairs", lambda g, *_: mds._eigh_pairs(g, 2))
         np.testing.assert_allclose(
-            _bounded_costs(vectors, terms, 2)[0],
+            _bounded_costs(vectors[None], terms, 2)[0][0],
             _reference_costs(vectors, observed, mask, 2),
             rtol=1e-9,
             atol=0.0,
@@ -256,22 +256,24 @@ def test_a_row_costs_alike_alone_and_in_any_batch(n, c, rng):
     if c == 0.5:
         assert vectors.shape[1] == 52  # many basis columns in the product
     terms = _cost_terms(observed, mask)
-    costs = _bounded_costs(vectors, terms, 2)[0]
+    costs = _bounded_costs(vectors[None], terms, 2)[0][0]
     for i in range(0, 400, 3):
         lo = max(0, i - 3)
-        assert _bounded_costs(vectors[i : i + 1], terms, 2)[0][0] == costs[i]
-        assert _bounded_costs(vectors[lo : lo + 7], terms, 2)[0][i - lo] == costs[i]
+        assert _bounded_costs(vectors[None, i : i + 1], terms, 2)[0][0, 0] == costs[i]
+        batch = _bounded_costs(vectors[None, lo : lo + 7], terms, 2)[0]
+        assert batch[0, i - lo] == costs[i]
     for i in (0, 399):
         assert evaluate_cost(vectors[i], observed, mask, 2) == costs[i]
     # m = 1 and m = 3 take eigh and the general-m residual.
     for m in (1, 3):
-        alone = _bounded_costs(vectors, terms, m)[0]
+        alone = _bounded_costs(vectors[None], terms, m)[0][0]
         for i in range(0, 400, 37):
-            assert _bounded_costs(vectors[i : i + 1], terms, m)[0][0] == alone[i]
+            one = _bounded_costs(vectors[None, i : i + 1], terms, m)[0]
+            assert one[0, 0] == alone[i]
     for m in (1, 2, 3):
         work = _Workspace.allocate(400, terms, m)
         for rows in (1, 7, 200, 400):
-            batch = vectors[400 - rows :]
+            batch = vectors[None, 400 - rows :]
             assert np.array_equal(
                 _bounded_costs(batch, terms, m, work)[0],
                 _bounded_costs(batch, terms, m)[0],
@@ -295,10 +297,10 @@ def test_a_ruled_out_row_costs_more_than_its_ceiling(seed, n, kind):
     observed, mask, vectors = _noisy_problem(rng, n, c, rows=200, kind=kind)
     assume(vectors.shape[1] > 0)
     terms = _cost_terms(observed, mask)
-    exact = _bounded_costs(vectors, terms, 2)[0]
+    exact = _bounded_costs(vectors[None], terms, 2)[0][0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mds, "_planar_pairs", lambda g, *_: mds._eigh_pairs(g, 2))
-        by_eigh = _bounded_costs(vectors, terms, 2)[0]
+        by_eigh = _bounded_costs(vectors[None], terms, 2)[0][0]
     ceilings = np.quantile(exact, [0.02, 0.3])
     pair = _CostTerms.stack([terms, terms])
     costs, ruled = _bounded_costs(np.stack([vectors] * 2), pair, 2, None, ceilings)
@@ -306,8 +308,9 @@ def test_a_ruled_out_row_costs_more_than_its_ceiling(seed, n, kind):
         assert np.all(exact[ruled[t]] > ceiling) and np.all(by_eigh[ruled[t]] > ceiling)
         assert np.all(costs[t, ruled[t]] == np.inf)
         assert np.array_equal(costs[t, ~ruled[t]], exact[~ruled[t]])
-        alone = _bounded_costs(vectors, terms, 2, None, ceilings[t])
-        assert np.array_equal(alone[0], costs[t]) and np.array_equal(alone[1], ruled[t])
+        alone = _bounded_costs(vectors[None], terms, 2, None, ceilings[t : t + 1])
+        assert np.array_equal(alone[0], costs[t : t + 1])
+        assert np.array_equal(alone[1], ruled[t : t + 1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,30 +324,31 @@ def test_the_floor_gain_bounds_how_far_the_pairs_move(seed, n):
     mask = random_completable_mask(n, rng.uniform(min_edges(n) / max_edges(n), 1.0), rng)
     layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))
     terms = _cost_terms(mask_edm(edm_from_points(layout), mask), mask)
-    i, j, links = terms.rows, terms.cols, terms.rows.size
-    assert terms.gain.shape == () and terms.gain <= 2.0 * np.sqrt(links)
+    (i,), (j,), (gain,) = terms.rows, terms.cols, terms.gain
+    links = i.size
+    assert terms.gain.shape == (1,) and gain <= 2.0 * np.sqrt(links)
     for _ in range(5):
         dk = rng.standard_normal((n, n)) * rng.uniform(0.0, 10.0, size=(n, 1))
         dk += dk.T
         moved = dk[i, i] + dk[j, j] - 2.0 * dk[i, j]
-        assert np.linalg.norm(moved) <= terms.gain * np.linalg.norm(dk) * (1 + 1e-12)
+        assert np.linalg.norm(moved) <= gain * np.linalg.norm(dk) * (1 + 1e-12)
     # The map's exact norm, its largest singular value on symmetric dK.
     pair_map = np.zeros((links, n, n))
     pair_map[np.arange(links), i, i] = pair_map[np.arange(links), j, j] = 1.0
     pair_map[np.arange(links), i, j] = pair_map[np.arange(links), j, i] = -1.0
-    assert np.linalg.norm(pair_map.reshape(links, -1), 2) <= terms.gain * (1 + 1e-12)
+    assert np.linalg.norm(pair_map.reshape(links, -1), 2) <= gain * (1 + 1e-12)
 
 
 def test_a_workspace_is_reused_without_aliasing(rng):
     observed, mask, vectors = _noisy_problem(rng, 10, 0.9)
     terms = _cost_terms(observed, mask)
     work = _Workspace.allocate(400, terms, 2)
-    first = _bounded_costs(vectors[:200], terms, 2, work)[0]
+    first = _bounded_costs(vectors[None, :200], terms, 2, work)[0]
     kept = first.copy()
-    second = _bounded_costs(vectors[200:], terms, 2, work)[0]
+    second = _bounded_costs(vectors[None, 200:], terms, 2, work)[0]
     assert np.array_equal(first, kept)
     assert not np.array_equal(first, second)
-    values, coords = embed_gram(_grams(vectors, terms, work), 2, work.powers)
+    values, coords = embed_gram(_grams(vectors[None], terms, work), 2, work.powers)
     buffers = [getattr(work, field.name) for field in dataclasses.fields(work)]
     for out in (first, second, values, coords):
         assert not any(np.shares_memory(out, buffer) for buffer in buffers)

@@ -15,7 +15,8 @@ import types
 from pathlib import Path
 
 import arrayloc
-from arrayloc import solver
+from arrayloc import harness, solver
+from arrayloc.geometry import edge_budget
 from arrayloc.harness import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -110,3 +111,25 @@ def test_readme_states_the_search_constants():
         value = re.search(pattern, sentence.group(0))
         assert value, f"the sentence does not state {name}"
         assert float(value.group(1)) == getattr(solver, name), name
+
+
+def test_readme_states_the_lockstep_groups():
+    # The README's table of lockstep groups, and the budget it quotes, are
+    # what the harness works out with the default solver.
+    def number(cell: str) -> int:
+        return int(cell.replace(",", ""))
+
+    text = README.read_text()
+    budget = re.search(r"connectivity 0\.9, ([0-9,]+) B\.", " ".join(text.split()))
+    assert budget, "README lacks the lockstep budget"
+    assert number(budget.group(1)) == harness.LOCKSTEP_WORKSPACE_BYTES
+    rows = re.findall(r"^\| (\d+), ([0-9.]+) \| ([0-9,]+) \| (\d+) \| ([0-9,]+) \|$",
+                      text, flags=re.MULTILINE)
+    assert len(rows) == 5, "README lacks the table of lockstep groups"
+    for n, c, per_row, trials, group in rows:
+        n, c = int(n), float(c)
+        cfg = ExperimentConfig(array_sizes=[n], connectivities=[c], trials=250)
+        per_trial = solver.working_set_bytes(n, edge_budget(n, c), cfg.solver)
+        assert number(per_row) * cfg.solver.rows_per_generation == per_trial, n
+        assert int(trials) == harness._group_size(n, c, cfg), n
+        assert number(group) == int(trials) * per_trial, n
