@@ -95,9 +95,11 @@ def _cmd_mds(args: argparse.Namespace) -> int:
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     mask = read_mask_csv(args.mask)
     edm = read_edm_csv(args.edm, mask=mask)
-    run = complete_and_localize(edm, mask, 2, rng=np.random.default_rng(args.seed))
+    run = complete_and_localize(edm, mask, rng=np.random.default_rng(args.seed))
     write_layout_csv(args.out or sys.stdout, run.recovered_layout)
     print(
         f"cost={float(run.best_cost_history[-1])!r} "

@@ -176,31 +176,29 @@ def edge_budget(n: int, c: float) -> int:
     return budget
 
 
-def _closure(adj: np.ndarray, seed: list[int], m: int) -> np.ndarray:
+def _closure(adj: np.ndarray, seed: list[int]) -> np.ndarray:
     # Nodes resolved from ``seed``.  The closure is monotone and idempotent,
-    # so adding every node with >= m+1 resolved links per round is exact.
+    # so adding every node with >= 3 resolved links per round is exact.
     resolved = np.zeros(adj.shape[0], dtype=bool)
     resolved[seed] = True
-    while (grow := ~resolved & (adj[:, resolved].sum(axis=1) >= m + 1)).any():
+    while (grow := ~resolved & (adj[:, resolved].sum(axis=1) >= 3)).any():
         resolved |= grow
     return resolved
 
 
-def is_completable(mask: AdjacencyMask, m: int = 2) -> bool:
-    """Whether some fully connected (m+2)-node seed can resolve every node.
+def is_completable(mask: AdjacencyMask) -> bool:
+    """Whether some fully connected 4-node seed can resolve every node.
 
-    Starting from a complete quadrilateral, a node is resolvable once it has
-    at least m+1 links into the already-resolved set, so a node with fewer
+    Starting from a complete quadrilateral, a node is resolvable in the plane
+    once it has at least 3 links into the resolved set, so a node with fewer
     links never is.  The search walks the 4-cliques a < b < c < d and skips
     every seed inside the closure of a seed that failed: its closure lies
     inside that one, so it fails too (Eren et al., INFOCOM 2004).
     """
-    if m != 2:
-        raise ValueError("only the planar case (m == 2) is supported")
     if mask.count < 4:
         raise ValueError("completability requires at least 4 nodes")
     adj = mask.mask
-    if adj.sum(axis=1).min() < m + 1:
+    if adj.sum(axis=1).min() < 3:
         return False
     later = np.triu(adj, 1)  # later[i]: the neighbours of i above i
     failed = np.zeros((0, mask.count), dtype=bool)  # one closure per row
@@ -211,7 +209,7 @@ def is_completable(mask: AdjacencyMask, m: int = 2) -> bool:
                 seed = [a, b, c, d]
                 if failed[:, seed].all(axis=1).any():
                     continue
-                resolved = _closure(adj, seed, m)
+                resolved = _closure(adj, seed)
                 if resolved.all():
                     return True
                 failed = np.vstack((failed, resolved))

@@ -189,12 +189,15 @@ class ExperimentConfig:
                 raise ValueError("noisy ranging needs a nonzero tone separation")
             # A range error wider than the whole array leaves no geometry to
             # recover; far enough below, the trial's arithmetic overflows.
-            if snr_h == 0.0 or crlb_sigma_d(
-                b, self.pulse_s, snr_h, self.sample_rate_hz
-            ) > span:
+            where = f"above the layout's {span:g} m span"
+            try:  # snr_h == 0 raises too: its bound is infinite
+                sigma = crlb_sigma_d(b, self.pulse_s, snr_h, self.sample_rate_hz)
+            except ValueError:
+                sigma, where = math.inf, "out of floating-point range"
+            if sigma > span:
                 raise ValueError(
-                    f"snr_h_db {self.snr_h_db} gives a range-error bound above "
-                    f"the layout's {span:g} m span at {b:g} Hz tone separation"
+                    f"snr_h_db {self.snr_h_db} gives a range-error bound {where} "
+                    f"at {b:g} Hz tone separation"
                 )
 
     @classmethod
@@ -337,7 +340,7 @@ def _run_trial(task: _TrialTask) -> TrialRecord:
     inputs = _trial_inputs(task)
     _, mask, observed, rng = inputs
     started = time.perf_counter()
-    run = complete_and_localize(observed, mask, 2, task.cfg.solver, rng)
+    run = complete_and_localize(observed, mask, task.cfg.solver, rng)
     return _trial_record(task, inputs, run, time.perf_counter() - started)
 
 
@@ -348,7 +351,7 @@ def _run_group(tasks: list[_TrialTask]) -> list[TrialRecord]:
     inputs = [_trial_inputs(task) for task in tasks]
     _, masks, observed, rngs = zip(*inputs)
     started = time.perf_counter()
-    runs = complete_and_localize_group(observed, masks, 2, tasks[0].cfg.solver, rngs)
+    runs = complete_and_localize_group(observed, masks, tasks[0].cfg.solver, rngs)
     share = (time.perf_counter() - started) / len(tasks)
     return [_trial_record(*args, share) for args in zip(tasks, inputs, runs)]
 

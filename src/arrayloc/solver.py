@@ -144,26 +144,25 @@ class _Workspace:
 
     coeffs: np.ndarray  # (P, 1, K): 1, then a candidate's missing values
     grams: np.ndarray  # (P, N, N)
-    powers: np.ndarray  # (2, P, N, N), embed_gram's scratch for m = 2; else empty
+    powers: np.ndarray  # (2, P, N, N), embed_gram's planar scratch
     gaps: np.ndarray  # (2, P, L): both ends of the L measured pairs on one axis
     residual: np.ndarray  # (P, L)
 
     @staticmethod
-    def shapes(rows: int, n: int, links: int, m: int) -> dict[str, tuple]:
+    def shapes(rows: int, n: int, links: int) -> dict[str, tuple]:
         """The float64 buffers for ``rows`` candidates of an n-node trial
         with ``links`` measured pairs."""
         return {
             "coeffs": (rows, 1, 1 + max_edges(n) - links),
             "grams": (rows, n, n),
-            "powers": (2 if m == 2 else 0, rows, n, n),
+            "powers": (2, rows, n, n),
             "gaps": (2, rows, links),
             "residual": (rows, links),
         }
 
     @classmethod
-    def allocate(cls, rows: int, terms: _CostTerms, m: int) -> _Workspace:
-        n, links = terms.basis.shape[-1], terms.target.shape[-1]
-        shapes = cls.shapes(rows, n, links, m)
+    def allocate(cls, rows: int, terms: _CostTerms) -> _Workspace:
+        shapes = cls.shapes(rows, terms.basis.shape[-1], terms.target.shape[-1])
         work = cls(**{name: np.empty(shape) for name, shape in shapes.items()})
         work.coeffs[:, 0, 0] = 1.0
         return work
@@ -173,7 +172,7 @@ def working_set_bytes(n: int, links: int, config: SolverConfig) -> int:
     """Bytes of the workspace a planar trial of n nodes and ``links``
     measured pairs scores its generations in: what each trial adds to a
     lockstep group's cost batch."""
-    shapes = _Workspace.shapes(config.rows_per_generation, n, links, 2)
+    shapes = _Workspace.shapes(config.rows_per_generation, n, links)
     return sum(8 * math.prod(shape) for shape in shapes.values())
 
 
@@ -230,7 +229,7 @@ def _grams(vectors: np.ndarray, terms: _CostTerms, work: _Workspace) -> np.ndarr
 def _pair_costs(
     coords: np.ndarray, terms: _CostTerms, starts: np.ndarray, work: _Workspace
 ) -> np.ndarray:
-    """The cost of each embedding of the (m, R, N) planes ``coords``, (R,):
+    """The cost of each embedding of the (2, R, N) planes ``coords``, (R,):
     rows starts[t]:starts[t + 1] belong to the t-th trial of ``terms``."""
     # np.take gathers each end of the measured pairs into a C-ordered
     # (R, L) block of the workspace, one trial and one axis at a time;
@@ -238,7 +237,7 @@ def _pair_costs(
     # gather depends on the batch size.  mode="clip" writes straight into
     # the block ("raise" would buffer), and every index is in range, so it
     # clips nothing.  Adding the axes' squares to zero in axis order gives
-    # the bits that one sum over an (m, L) block of squares gives.
+    # the bits that one sum over a (2, L) block of squares gives.
     rows = coords.shape[1]
     (gap, other), residual = work.gaps[:, :rows], work.residual[:rows]
     blocks = [slice(*starts[t : t + 2]) for t in range(len(terms.rows))]
@@ -255,7 +254,7 @@ def _pair_costs(
 
 
 def _bounded_costs(
-    vectors: np.ndarray, terms: _CostTerms, m: int, work: _Workspace | None = None,
+    vectors: np.ndarray, terms: _CostTerms, work: _Workspace | None = None,
     ceilings: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The cost of each candidate row of the (T, P, K) ``vectors``, and which
@@ -267,7 +266,7 @@ def _bounded_costs(
     sqrt(F) >= sqrt(F~) - gain E for F~ the cost of its Ritz embedding.
     """
     t, p, _ = vectors.shape
-    work = _Workspace.allocate(t * p, terms, m) if work is None else work
+    work = _Workspace.allocate(t * p, terms) if work is None else work
     starts = np.arange(0, t * p + 1, p)
     ruled = np.zeros(t * p, dtype=bool)
 
@@ -281,19 +280,15 @@ def _bounded_costs(
         return ~out
 
     grams, bound = _grams(vectors, terms, work), None if ceilings is None else needed
-    _, coords = embed_gram(grams, m, work.powers[:, : t * p], bound)
+    _, coords = embed_gram(grams, 2, work.powers[:, : t * p], bound)
     costs = _pair_costs(coords, terms, starts, work)
     costs[ruled] = np.inf
     return costs.reshape(t, p), ruled.reshape(t, p)
 
 
-def evaluate_cost(
-    vector: np.ndarray, observed: Edm, mask: AdjacencyMask, m: int
-) -> float:
-    """Score one candidate completion against the observed entries."""
+def evaluate_cost(vector: np.ndarray, observed: Edm, mask: AdjacencyMask) -> float:
+    """Score one candidate completion, embedded in the plane, on the measured pairs."""
     _check_masks(observed, mask)
-    if not 1 <= m <= observed.count:
-        raise ValueError("target dimension must lie in [1, node count]")
     n_missing = mask.missing_indices()[0].size
     vector = np.asarray(vector, dtype=float).reshape(1, 1, -1)
     if vector.shape[-1] != n_missing:
@@ -302,13 +297,12 @@ def evaluate_cost(
         )
     if not np.all(np.isfinite(vector)):
         raise ValueError("candidate entries must be finite")
-    return float(_bounded_costs(vector, _cost_terms(observed, mask), m)[0][0, 0])
+    return float(_bounded_costs(vector, _cost_terms(observed, mask))[0][0, 0])
 
 
-def _geodesic_upper_bounds(
-    observed: Edm, mask: AdjacencyMask, pair_idx
-) -> np.ndarray:
-    """Squared shortest-path distances through observed links.
+def _geodesic_upper_bounds(observed: Edm, mask: AdjacencyMask) -> np.ndarray:
+    """Squared shortest-path distances through observed links, one per
+    missing pair in the order of ``mask.missing_indices()``.
 
     The triangle inequality caps every missing distance by the geodesic
     through measured edges, zero-length ones included, so these are valid
@@ -326,8 +320,7 @@ def _geodesic_upper_bounds(
             np.minimum(geodesic, geodesic[:, u, None] + weights[u], out=geodesic)
         if np.array_equal(before, geodesic):
             break
-    rows, cols = pair_idx
-    bounds = geodesic[rows, cols] ** 2
+    bounds = geodesic[mask.missing_indices()] ** 2
     if not np.all(np.isfinite(bounds)):
         raise CompletabilityError("observation graph is not connected")
     return bounds
@@ -336,16 +329,16 @@ def _geodesic_upper_bounds(
 class _Search:
     """One trial's DE state: its stream, first population, histories, stall test."""
 
-    def __init__(self, observed: Edm, mask: AdjacencyMask, m: int,
+    def __init__(self, observed: Edm, mask: AdjacencyMask,
                  config: SolverConfig, rng: np.random.Generator) -> None:
         _check_masks(observed, mask)
-        if not is_completable(mask, m):
+        if not is_completable(mask):
             raise CompletabilityError(
                 "observation mask cannot anchor every node in the array"
             )
         self.observed, self.mask, self.config, self.rng = observed, mask, config, rng
         self.terms = _cost_terms(observed, mask)
-        bounds = _geodesic_upper_bounds(observed, mask, mask.missing_indices())
+        bounds = _geodesic_upper_bounds(observed, mask)
         self.upper = np.maximum(bounds, 1e-12)
         self.population = self.upper * rng.random((config.population_size, bounds.size))
         self.cost_history: list[float] = []
@@ -371,20 +364,20 @@ class _Search:
         if self.stop_reason is None and len(history) >= self.config.max_generations:
             self.stop_reason = "max_generations"
 
-    def result(self, m: int) -> SolverRun:
+    def result(self) -> SolverRun:
         filled = self.mask.filled(self.observed.entries, self.vector_history[-1])
         return SolverRun(
             best_cost_history=np.array(self.cost_history),
             best_vector_history=np.array(self.vector_history),
             generations_used=len(self.cost_history),
             stop_reason=self.stop_reason,
-            recovered_layout=classical_mds(Edm(filled), m),
+            recovered_layout=classical_mds(Edm(filled), 2),
             evaluations=self.evaluations,
             ruled_out=self.ruled_out,
         )
 
 
-def _evolve(searches: list[_Search], m: int, config: SolverConfig) -> None:
+def _evolve(searches: list[_Search], config: SolverConfig) -> None:
     """Run every search to its stop, a generation at a time in lockstep.
 
     Searches whose cost terms share a shape form a group on stacked (T, S,
@@ -406,8 +399,8 @@ def _evolve(searches: list[_Search], m: int, config: SolverConfig) -> None:
         upper = np.stack([s.upper for s in live])[:, None]
         population = np.stack([s.population for s in live])
         t, _, n_vars = population.shape
-        work = _Workspace.allocate(t * width, terms, m)
-        costs = _bounded_costs(population, terms, m, work)[0]
+        work = _Workspace.allocate(t * width, terms)
+        costs = _bounded_costs(population, terms, work)[0]
         for search, scored, rows in zip(live, costs, population):
             best = int(np.argmin(scored))
             search.record(float(scored[best]), rows[best].copy(), scored.size, 0)
@@ -450,7 +443,7 @@ def _evolve(searches: list[_Search], m: int, config: SolverConfig) -> None:
             )
             candidates[:, n_kids:] *= upper
             del keys, a, b, c, cross, children, target_vecs  # the batch peaks on top
-            scored, ruled = _bounded_costs(candidates, terms, m, work, ranked[:, -1])
+            scored, ruled = _bounded_costs(candidates, terms, work, ranked[:, -1])
             # Rank parents and children together; immigrants join the
             # survivors.  The best so far heads the parents, and the stable
             # sort keeps it ahead of any child that only ties it: each
@@ -469,16 +462,14 @@ def _evolve(searches: list[_Search], m: int, config: SolverConfig) -> None:
 def complete_and_localize(
     observed: Edm,
     mask: AdjacencyMask,
-    m: int,
     config: SolverConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> SolverRun:
-    """Recover node positions from a partially observed distance matrix.
+    """Recover planar node positions from a partially observed distance matrix.
 
     Args:
         observed: squared-distance matrix, valid at masked-true entries.
         mask: measured entries, as in ``observed``'s own mask; must be completable.
-        m: embedding dimension.
         config: population size, generation cap and parent fraction;
             defaults match the reference setup.
         rng: random source; defaults to ``np.random.default_rng(0)``.
@@ -488,14 +479,13 @@ def complete_and_localize(
         never rises: the incumbent individual survives every generation.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    (run,) = complete_and_localize_group([observed], [mask], m, config, [rng])
+    (run,) = complete_and_localize_group([observed], [mask], config, [rng])
     return run
 
 
 def complete_and_localize_group(
     observed: list[Edm],
     masks: list[AdjacencyMask],
-    m: int,
     config: SolverConfig | None,
     rngs: list[np.random.Generator],
 ) -> list[SolverRun]:
@@ -509,7 +499,7 @@ def complete_and_localize_group(
     if not len(observed) == len(masks) == len(rngs):
         raise ValueError("need one mask and one generator per matrix")
     searches = [
-        _Search(o, mask, m, config, rng) for o, mask, rng in zip(observed, masks, rngs)
+        _Search(o, mask, config, rng) for o, mask, rng in zip(observed, masks, rngs)
     ]
-    _evolve(searches, m, config)
-    return [search.result(m) for search in searches]
+    _evolve(searches, config)
+    return [search.result() for search in searches]

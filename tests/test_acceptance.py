@@ -68,7 +68,7 @@ def test_criterion_01_noiseless_exact_recovery():
         mask = random_completable_mask(6, 0.8, rng)
         observed = mask_edm(edm_from_points(truth), mask)
         run = complete_and_localize(
-            observed, mask, 2, SolverConfig(max_generations=50), rng
+            observed, mask, SolverConfig(max_generations=50), rng
         )
         evm = align_and_evm(run.recovered_layout, truth).evm_mean
         if run.best_cost_history[-1] < 1e-10 and evm < 1e-5:

@@ -128,7 +128,7 @@ def test_localize_seed_seeds_the_solver_generator(tmp_path, capsys):
     edm_path, mask_path, _ = _localize_problem(tmp_path, 0.0)
     mask = read_mask_csv(mask_path)
     run = complete_and_localize(
-        read_edm_csv(edm_path, mask=mask), mask, 2, rng=np.random.default_rng(7)
+        read_edm_csv(edm_path, mask=mask), mask, rng=np.random.default_rng(7)
     )
     expected = tmp_path / "expected.csv"
     write_layout_csv(expected, run.recovered_layout)
@@ -157,6 +157,7 @@ def test_localize_rejects_a_negative_seed(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--seed" in captured.err and "-1" in captured.err
 
 
 @pytest.mark.parametrize("command", ["localize", "completable"])
@@ -382,6 +383,25 @@ def test_crlb_subcommand_rejects_bad_arguments(capsys):
         assert code == 2, bad
         assert captured.out == "", bad
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, bad
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_bound_out_of_range_names_the_setting(tmp_path, capsys, command):
+    # At a 1e-300 Hz tone separation the range-error bound overflows.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 1, "bandwidths_hz": [40e6, 1e-300]}))
+    argv = {
+        "simulate": ["simulate", "--bandwidth", "1e-300"],
+        "sweep": ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: snr_h_db 34.0 gives a range-error bound out of floating-point "
+        "range at 1e-300 Hz tone separation\n"
+    )
 
 
 def test_simulate_subcommand_smoke(capsys):

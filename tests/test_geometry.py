@@ -134,8 +134,6 @@ def test_two_edge_node_is_not_completable():
 def test_completability_needs_four_nodes():
     with pytest.raises(ValueError):
         is_completable(AdjacencyMask.complete(3))
-    with pytest.raises(ValueError):
-        is_completable(AdjacencyMask.complete(5), m=3)
 
 
 def test_constructed_masks_are_completable(rng):

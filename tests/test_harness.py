@@ -676,6 +676,6 @@ def test_the_solver_counts_the_evaluations_the_tracer_computes():
     ]
     for mask, cfg, reason in cases:
         observed = mask_edm(edm_from_points(layout), mask)
-        run = complete_and_localize(observed, mask, 2, cfg, np.random.default_rng(1))
+        run = complete_and_localize(observed, mask, cfg, np.random.default_rng(1))
         assert run.stop_reason == reason
         assert run.evaluations == tracing.evaluations(run.generations_used, cfg)

@@ -67,7 +67,7 @@ def test_cost_is_zero_at_the_true_completion(rng):
     layout, mask, observed = _masked_problem(rng)
     truth = _true_missing_vector(layout, mask)
     scale = observed.entries.max()
-    assert evaluate_cost(truth, observed, mask, 2) <= 1e-18 * scale**2
+    assert evaluate_cost(truth, observed, mask) <= 1e-18 * scale**2
 
 
 def test_cost_with_complete_mask_is_zero(rng):
@@ -75,7 +75,7 @@ def test_cost_with_complete_mask_is_zero(rng):
     mask = AdjacencyMask.complete(6)
     observed = mask_edm(edm_from_points(layout), mask)
     scale = observed.entries.max()
-    assert evaluate_cost(np.zeros(0), observed, mask, 2) <= 1e-18 * scale**2
+    assert evaluate_cost(np.zeros(0), observed, mask) <= 1e-18 * scale**2
 
 
 def test_cost_grid_scan_finds_the_missing_edge(rng):
@@ -89,7 +89,7 @@ def test_cost_grid_scan_finds_the_missing_edge(rng):
     observed = mask_edm(edm_from_points(layout), mask)
     true_d2 = edm_from_points(layout).entries[3, 4]
     grid = np.linspace(0.0, 4.0 * true_d2 + 1.0, 400)
-    costs = [evaluate_cost(np.array([v]), observed, mask, 2) for v in grid]
+    costs = [evaluate_cost(np.array([v]), observed, mask) for v in grid]
     best = grid[int(np.argmin(costs))]
     cell = grid[1] - grid[0]
     assert abs(best - true_d2) <= cell
@@ -98,31 +98,30 @@ def test_cost_grid_scan_finds_the_missing_edge(rng):
 def test_cost_rejects_wrong_vector_length(rng):
     layout, mask, observed = _masked_problem(rng)
     with pytest.raises(ValueError):
-        evaluate_cost(np.zeros(99), observed, mask, 2)
+        evaluate_cost(np.zeros(99), observed, mask)
     # A non-finite entry is rejected before any work, with no warning.
     for bad in (np.nan, np.inf, -np.inf):
         vector = _true_missing_vector(layout, mask)
         vector[-1] = bad
         with warnings.catch_warnings(), pytest.raises(ValueError, match="finite"):
             warnings.simplefilter("error")
-            evaluate_cost(vector, observed, mask, 2)
+            evaluate_cost(vector, observed, mask)
 
 
-@pytest.mark.parametrize("m", [0, 7])
-def test_cost_rejects_dimension_outside_node_count(rng, m):
-    layout, mask, observed = _masked_problem(rng)
-    with pytest.raises(ValueError):
-        evaluate_cost(_true_missing_vector(layout, mask), observed, mask, m)
+def test_cost_rejects_a_one_node_matrix():
+    mask = AdjacencyMask(np.zeros((1, 1), dtype=bool))
+    with pytest.raises(ValueError, match="at least two nodes"):
+        evaluate_cost(np.zeros(0), Edm(np.zeros((1, 1)), observed=mask), mask)
 
 
 def test_cost_matches_the_solver_bit_for_bit(rng):
     # every generation's best vector scores exactly its recorded best cost
     layout, mask, observed = _masked_problem(rng)
     run = complete_and_localize(
-        observed, mask, 2, SolverConfig(max_generations=15), rng
+        observed, mask, SolverConfig(max_generations=15), rng
     )
     costs = [
-        evaluate_cost(vector, observed, mask, 2) for vector in run.best_vector_history
+        evaluate_cost(vector, observed, mask) for vector in run.best_vector_history
     ]
     assert costs == run.best_cost_history.tolist()
 
@@ -133,8 +132,8 @@ def test_cost_ignores_nan_at_unobserved_entries(rng):
     poisoned = observed.entries.copy()
     poisoned[~mask.mask & ~np.eye(mask.count, dtype=bool)] = np.nan
     nan_observed = Edm(poisoned, observed=mask)
-    assert evaluate_cost(truth, nan_observed, mask, 2) == evaluate_cost(
-        truth, observed, mask, 2
+    assert evaluate_cost(truth, nan_observed, mask) == evaluate_cost(
+        truth, observed, mask
     )
 
 
@@ -148,8 +147,8 @@ def test_complete_mask_cost_is_the_batched_cost(wave40):
         observed = sample_edm_statistical(
             layout, mask, db_to_linear(34.0), wave40, rng
         )
-        run = complete_and_localize(observed, mask, 2)
-        cost = evaluate_cost(np.zeros(0), observed, mask, 2)
+        run = complete_and_localize(observed, mask)
+        cost = evaluate_cost(np.zeros(0), observed, mask)
         assert cost > 0.0
         assert cost == run.best_cost_history[-1]
 
@@ -198,7 +197,7 @@ def _noisy_problem(rng, n, c, rows=400, kind="noisy"):
         observed=mask,
     )
     pairs = mask.missing_indices()
-    upper = _geodesic_upper_bounds(observed, mask, pairs)
+    upper = _geodesic_upper_bounds(observed, mask)
     kids = 3 * rows // 4
     children = full[pairs] * rng.uniform(0.95, 1.05, (kids, upper.size))
     immigrants = upper * rng.random((rows - kids, upper.size))
@@ -224,7 +223,7 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
         observed = Edm(observed.entries + skew * mask.mask, observed=mask)
         assert not np.array_equal(observed.entries, observed.entries.T)
     terms = _cost_terms(observed, mask)
-    grams = _grams(vectors[None], terms, _Workspace.allocate(len(vectors), terms, 2))
+    grams = _grams(vectors[None], terms, _Workspace.allocate(len(vectors), terms))
     want = _double_centre(mask.filled(observed.entries, vectors))
     scale = np.sqrt(np.sum(want**2, axis=(1, 2)))
     assert np.all(np.abs(grams - want).max(axis=(1, 2)) <= 1e-12 * scale)
@@ -238,7 +237,7 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mds, "_planar_pairs", lambda g, *_: mds._eigh_pairs(g, 2))
         np.testing.assert_allclose(
-            _bounded_costs(vectors[None], terms, 2)[0][0],
+            _bounded_costs(vectors[None], terms)[0][0],
             _reference_costs(vectors, observed, mask, 2),
             rtol=1e-9,
             atol=0.0,
@@ -256,28 +255,20 @@ def test_a_row_costs_alike_alone_and_in_any_batch(n, c, rng):
     if c == 0.5:
         assert vectors.shape[1] == 52  # many basis columns in the product
     terms = _cost_terms(observed, mask)
-    costs = _bounded_costs(vectors[None], terms, 2)[0][0]
+    costs = _bounded_costs(vectors[None], terms)[0][0]
     for i in range(0, 400, 3):
         lo = max(0, i - 3)
-        assert _bounded_costs(vectors[None, i : i + 1], terms, 2)[0][0, 0] == costs[i]
-        batch = _bounded_costs(vectors[None, lo : lo + 7], terms, 2)[0]
+        assert _bounded_costs(vectors[None, i : i + 1], terms)[0][0, 0] == costs[i]
+        batch = _bounded_costs(vectors[None, lo : lo + 7], terms)[0]
         assert batch[0, i - lo] == costs[i]
     for i in (0, 399):
-        assert evaluate_cost(vectors[i], observed, mask, 2) == costs[i]
-    # m = 1 and m = 3 take eigh and the general-m residual.
-    for m in (1, 3):
-        alone = _bounded_costs(vectors[None], terms, m)[0][0]
-        for i in range(0, 400, 37):
-            one = _bounded_costs(vectors[None, i : i + 1], terms, m)[0]
-            assert one[0, 0] == alone[i]
-    for m in (1, 2, 3):
-        work = _Workspace.allocate(400, terms, m)
-        for rows in (1, 7, 200, 400):
-            batch = vectors[None, 400 - rows :]
-            assert np.array_equal(
-                _bounded_costs(batch, terms, m, work)[0],
-                _bounded_costs(batch, terms, m)[0],
-            )
+        assert evaluate_cost(vectors[i], observed, mask) == costs[i]
+    work = _Workspace.allocate(400, terms)
+    for rows in (1, 7, 200, 400):
+        batch = vectors[None, 400 - rows :]
+        assert np.array_equal(
+            _bounded_costs(batch, terms, work)[0], _bounded_costs(batch, terms)[0]
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,18 +288,18 @@ def test_a_ruled_out_row_costs_more_than_its_ceiling(seed, n, kind):
     observed, mask, vectors = _noisy_problem(rng, n, c, rows=200, kind=kind)
     assume(vectors.shape[1] > 0)
     terms = _cost_terms(observed, mask)
-    exact = _bounded_costs(vectors[None], terms, 2)[0][0]
+    exact = _bounded_costs(vectors[None], terms)[0][0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mds, "_planar_pairs", lambda g, *_: mds._eigh_pairs(g, 2))
-        by_eigh = _bounded_costs(vectors[None], terms, 2)[0][0]
+        by_eigh = _bounded_costs(vectors[None], terms)[0][0]
     ceilings = np.quantile(exact, [0.02, 0.3])
     pair = _CostTerms.stack([terms, terms])
-    costs, ruled = _bounded_costs(np.stack([vectors] * 2), pair, 2, None, ceilings)
+    costs, ruled = _bounded_costs(np.stack([vectors] * 2), pair, None, ceilings)
     for t, ceiling in enumerate(ceilings):
         assert np.all(exact[ruled[t]] > ceiling) and np.all(by_eigh[ruled[t]] > ceiling)
         assert np.all(costs[t, ruled[t]] == np.inf)
         assert np.array_equal(costs[t, ~ruled[t]], exact[~ruled[t]])
-        alone = _bounded_costs(vectors[None], terms, 2, None, ceilings[t : t + 1])
+        alone = _bounded_costs(vectors[None], terms, None, ceilings[t : t + 1])
         assert np.array_equal(alone[0], costs[t : t + 1])
         assert np.array_equal(alone[1], ruled[t : t + 1])
 
@@ -342,10 +333,10 @@ def test_the_floor_gain_bounds_how_far_the_pairs_move(seed, n):
 def test_a_workspace_is_reused_without_aliasing(rng):
     observed, mask, vectors = _noisy_problem(rng, 10, 0.9)
     terms = _cost_terms(observed, mask)
-    work = _Workspace.allocate(400, terms, 2)
-    first = _bounded_costs(vectors[None, :200], terms, 2, work)[0]
+    work = _Workspace.allocate(400, terms)
+    first = _bounded_costs(vectors[None, :200], terms, work)[0]
     kept = first.copy()
-    second = _bounded_costs(vectors[None, 200:], terms, 2, work)[0]
+    second = _bounded_costs(vectors[None, 200:], terms, work)[0]
     assert np.array_equal(first, kept)
     assert not np.array_equal(first, second)
     values, coords = embed_gram(_grams(vectors[None], terms, work), 2, work.powers)
@@ -373,7 +364,7 @@ for _ in range(trials):
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rngs = [np.random.default_rng(4 + t) for t in range(trials)]
-    runs = complete_and_localize_group(observed, masks, 2, None, rngs)
+    runs = complete_and_localize_group(observed, masks, None, rngs)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(faults / max(run.generations_used for run in runs))
 """
@@ -431,8 +422,8 @@ def test_cost_is_invariant_to_node_relabelling(seed, n):
     candidate = mask.filled(observed.entries, vector)[relabel]
     new_vector = candidate[new_mask.missing_indices()]
     new_observed = Edm(observed.entries[relabel], observed=new_mask)
-    base = evaluate_cost(vector, observed, mask, 2)
-    assert evaluate_cost(new_vector, new_observed, new_mask, 2) == pytest.approx(
+    base = evaluate_cost(vector, observed, mask)
+    assert evaluate_cost(new_vector, new_observed, new_mask) == pytest.approx(
         base, rel=1e-9
     )
 
@@ -448,8 +439,8 @@ def test_cost_is_invariant_to_rigid_motion(seed, n):
     moved = rotation @ points + np.array([[3.0], [-7.0]])
     observed, mask, vector = _noisy_candidate(seed, n, points)
     moved_observed, _, _ = _noisy_candidate(seed, n, moved)
-    base = evaluate_cost(vector, observed, mask, 2)
-    assert evaluate_cost(vector, moved_observed, mask, 2) == pytest.approx(
+    base = evaluate_cost(vector, observed, mask)
+    assert evaluate_cost(vector, moved_observed, mask) == pytest.approx(
         base, rel=1e-9
     )
 
@@ -459,8 +450,8 @@ def test_cost_is_invariant_to_rigid_motion(seed, n):
 def test_cost_scales_by_s4_when_distances_scale_by_s2(seed, n, s):
     observed, mask, vector = _noisy_candidate(seed, n)
     scaled = Edm(observed.entries * s**2, observed=mask)
-    base = evaluate_cost(vector, observed, mask, 2)
-    assert evaluate_cost(vector * s**2, scaled, mask, 2) == pytest.approx(
+    base = evaluate_cost(vector, observed, mask)
+    assert evaluate_cost(vector * s**2, scaled, mask) == pytest.approx(
         base * s**4, rel=1e-9
     )
 
@@ -535,7 +526,7 @@ def test_geodesic_bounds_equal_dijkstra(seed, n, kind):
     observed = Edm(np.where(mask.mask, full, 0.0), observed=mask)
     pairs = mask.missing_indices()
     want = shortest_path(weights, method="D", directed=False)[pairs] ** 2
-    assert np.array_equal(_geodesic_upper_bounds(observed, mask, pairs), want)
+    assert np.array_equal(_geodesic_upper_bounds(observed, mask), want)
 
 
 def test_a_zero_length_link_carries_the_geodesic():
@@ -547,7 +538,7 @@ def test_a_zero_length_link_carries_the_geodesic():
     adj[1, 4] = adj[4, 1] = False
     mask = AdjacencyMask(adj)
     observed = mask_edm(edm_from_points(NodeLayout(points)), mask)
-    bounds = _geodesic_upper_bounds(observed, mask, mask.missing_indices())
+    bounds = _geodesic_upper_bounds(observed, mask)
     assert bounds == pytest.approx([18.0], rel=1e-15)
 
 
@@ -576,7 +567,7 @@ def test_complete_mask_degenerates_to_plain_mds(rng):
     layout = NodeLayout(rng.uniform(0, 5, size=(2, 6)))
     mask = AdjacencyMask.complete(6)
     observed = mask_edm(edm_from_points(layout), mask)
-    run = complete_and_localize(observed, mask, 2)
+    run = complete_and_localize(observed, mask)
     assert run.stop_reason == "complete_mask"
     assert run.converged
     assert run.generations_used == 1
@@ -587,7 +578,7 @@ def test_complete_mask_degenerates_to_plain_mds(rng):
 def test_the_generation_cap_stops_with_max_generations(rng):
     _, mask, observed = _masked_problem(rng)
     run = complete_and_localize(
-        observed, mask, 2, SolverConfig(max_generations=2), rng
+        observed, mask, SolverConfig(max_generations=2), rng
     )
     assert run.generations_used == 2
     assert run.stop_reason == "max_generations"
@@ -596,13 +587,13 @@ def test_the_generation_cap_stops_with_max_generations(rng):
 
 def test_a_noiseless_run_stops_stalled():
     _, mask, observed = _masked_problem(np.random.default_rng(1))
-    run = complete_and_localize(observed, mask, 2, rng=np.random.default_rng(1))
+    run = complete_and_localize(observed, mask, rng=np.random.default_rng(1))
     assert run.stop_reason == "stalled"
     assert run.converged
     assert run.generations_used < SolverConfig().max_generations
     # A stall on the last generation the cap allows is still a stall.
     capped = complete_and_localize(
-        observed, mask, 2, SolverConfig(max_generations=run.generations_used),
+        observed, mask, SolverConfig(max_generations=run.generations_used),
         np.random.default_rng(1),
     )
     assert capped.stop_reason == "stalled"
@@ -624,14 +615,14 @@ def test_a_group_runs_each_trial_as_it_runs_alone(wave40):
             sample_edm_statistical(layout, masks[-1], db_to_linear(34.0), wave40, rng)
         )
     group = complete_and_localize_group(
-        observed, masks, 2, config, [np.random.default_rng(s) for s in seeds]
+        observed, masks, config, [np.random.default_rng(s) for s in seeds]
     )
     assert [(run.generations_used, run.stop_reason) for run in group] == [
         (30, "max_generations"), (1, "complete_mask"), (14, "stalled"),
         (30, "stalled"), (27, "stalled"),
     ]
     for run, o, mask, seed in zip(group, observed, masks, seeds):
-        alone = complete_and_localize(o, mask, 2, config, np.random.default_rng(seed))
+        alone = complete_and_localize(o, mask, config, np.random.default_rng(seed))
         for name in ("best_cost_history", "best_vector_history"):
             assert getattr(run, name).tobytes() == getattr(alone, name).tobytes()
         layouts = run.recovered_layout, alone.recovered_layout
@@ -640,7 +631,7 @@ def test_a_group_runs_each_trial_as_it_runs_alone(wave40):
             alone.generations_used, alone.stop_reason, alone.evaluations
         )
     with pytest.raises(ValueError):
-        complete_and_localize_group(observed[:2], masks, 2, config, seeds)
+        complete_and_localize_group(observed[:2], masks, config, seeds)
 
 
 def _assert_same_run(run, want):
@@ -679,11 +670,11 @@ def test_a_group_breeds_each_trial_as_it_breeds_alone(config, one_missing, wave4
             sample_edm_statistical(layout, masks[-1], db_to_linear(34.0), wave40, rng)
         )
     group = complete_and_localize_group(
-        observed, masks, 2, config, [np.random.default_rng(s) for s in seeds]
+        observed, masks, config, [np.random.default_rng(s) for s in seeds]
     )
     assert len({run.generations_used for run in group}) > 1  # trials leave apart
     for run, o, mask, seed in zip(group, observed, masks, seeds):
-        alone = complete_and_localize(o, mask, 2, config, np.random.default_rng(seed))
+        alone = complete_and_localize(o, mask, config, np.random.default_rng(seed))
         _assert_same_run(run, alone)
         assert run.ruled_out == alone.ruled_out
 
@@ -693,7 +684,7 @@ def _without_ceilings(patch):
     bounded = solver._bounded_costs
     patch.setattr(
         solver, "_bounded_costs",
-        lambda v, terms, m, work=None, ceilings=None: bounded(v, terms, m, work),
+        lambda v, terms, work=None, ceilings=None: bounded(v, terms, work),
     )
 
 
@@ -717,9 +708,9 @@ def test_the_ceiling_rule_changes_no_run(n, c, trials, wave40, monkeypatch):
 
     def runs():
         rngs = [np.random.default_rng(seed) for seed in range(trials)]
-        group = complete_and_localize_group(observed, masks, 2, None, rngs)
+        group = complete_and_localize_group(observed, masks, None, rngs)
         solo = [
-            complete_and_localize(o, mask, 2, rng=np.random.default_rng(seed))
+            complete_and_localize(o, mask, rng=np.random.default_rng(seed))
             for seed, (o, mask) in enumerate(zip(observed, masks))
         ]
         return group + solo
@@ -758,7 +749,7 @@ def test_the_ceiling_rule_halves_the_rows_that_reach_eigh(wave40, monkeypatch):
             observed = sample_edm_statistical(
                 layout, mask, db_to_linear(34.0), wave40, rng
             )
-            complete_and_localize(observed, mask, 2, rng=rng)
+            complete_and_localize(observed, mask, rng=rng)
     assert rows[0] <= 0.5 * rows[1]
 
 
@@ -789,9 +780,9 @@ def test_a_looser_stall_threshold_cuts_the_same_run_short(
     mask = random_completable_mask(n, c, rng)
     observed = sample(layout, mask, db_to_linear(34.0), wave40, rng)
     delta = solver.STALL_DELTA
-    new = complete_and_localize(observed, mask, 2, rng=np.random.default_rng(seed))
+    new = complete_and_localize(observed, mask, rng=np.random.default_rng(seed))
     monkeypatch.setattr(solver, "STALL_DELTA", 1e-6)
-    old = complete_and_localize(observed, mask, 2, rng=np.random.default_rng(seed))
+    old = complete_and_localize(observed, mask, rng=np.random.default_rng(seed))
     g = _stall_length(old.best_cost_history, delta)
     assert new.generations_used == g < old.generations_used
     assert new.best_cost_history.tobytes() == old.best_cost_history[:g].tobytes()
@@ -806,7 +797,7 @@ def test_noiseless_recovery_single_seed():
     mask = random_completable_mask(6, 0.8, rng)
     observed = mask_edm(edm_from_points(layout), mask)
     run = complete_and_localize(
-        observed, mask, 2, SolverConfig(max_generations=50), rng
+        observed, mask, SolverConfig(max_generations=50), rng
     )
     assert run.best_cost_history[-1] < 1e-10
     assert align_and_evm(run.recovered_layout, layout).evm_mean < 1e-5
@@ -820,10 +811,10 @@ def test_nan_at_unobserved_entries_gives_a_finite_run(rng):
     poisoned[~mask.mask & ~np.eye(mask.count, dtype=bool)] = np.nan
     config = SolverConfig(max_generations=30)
     clean = complete_and_localize(
-        observed, mask, 2, config, np.random.default_rng(5)
+        observed, mask, config, np.random.default_rng(5)
     )
     run = complete_and_localize(
-        Edm(poisoned, observed=mask), mask, 2, config, np.random.default_rng(5)
+        Edm(poisoned, observed=mask), mask, config, np.random.default_rng(5)
     )
     assert np.all(np.isfinite(run.best_cost_history))
     assert np.array_equal(run.best_cost_history, clean.best_cost_history)
@@ -835,7 +826,7 @@ def test_nan_at_unobserved_entries_gives_a_finite_run(rng):
 def test_best_cost_history_never_rises(rng):
     layout, mask, observed = _masked_problem(rng)
     run = complete_and_localize(
-        observed, mask, 2, SolverConfig(max_generations=30), rng
+        observed, mask, SolverConfig(max_generations=30), rng
     )
     history = run.best_cost_history
     assert np.all(np.diff(history) <= 0.0)
@@ -847,8 +838,8 @@ def test_best_cost_history_never_rises(rng):
 def test_identical_seed_identical_run(rng):
     layout, mask, observed = _masked_problem(rng)
     config = SolverConfig(max_generations=20)
-    first = complete_and_localize(observed, mask, 2, config, np.random.default_rng(77))
-    second = complete_and_localize(observed, mask, 2, config, np.random.default_rng(77))
+    first = complete_and_localize(observed, mask, config, np.random.default_rng(77))
+    second = complete_and_localize(observed, mask, config, np.random.default_rng(77))
     assert np.array_equal(first.best_cost_history, second.best_cost_history)
     assert np.array_equal(first.best_vector_history, second.best_vector_history)
     assert np.array_equal(
@@ -859,8 +850,8 @@ def test_identical_seed_identical_run(rng):
 def test_default_generator_is_seeded_with_zero(rng):
     layout, mask, observed = _masked_problem(rng)
     config = SolverConfig(max_generations=20)
-    default = complete_and_localize(observed, mask, 2, config)
-    seeded = complete_and_localize(observed, mask, 2, config, np.random.default_rng(0))
+    default = complete_and_localize(observed, mask, config)
+    seeded = complete_and_localize(observed, mask, config, np.random.default_rng(0))
     assert np.array_equal(default.best_vector_history, seeded.best_vector_history)
 
 
@@ -872,7 +863,7 @@ def test_non_completable_mask_rejected(rng):
     layout = NodeLayout(rng.uniform(0, 5, size=(2, 6)))
     observed = mask_edm(edm_from_points(layout), mask)
     with pytest.raises(CompletabilityError):
-        complete_and_localize(observed, mask, 2)
+        complete_and_localize(observed, mask)
 
 
 def test_mask_and_matrix_sizes_must_agree(rng):
@@ -890,19 +881,19 @@ def test_mask_and_matrix_sizes_must_agree(rng):
     ]
     for edm, wrong, vector in cases:
         with pytest.raises(ValueError, match="mask"):
-            complete_and_localize(edm, wrong, 2)
+            complete_and_localize(edm, wrong)
         with pytest.raises(ValueError, match="mask"):
-            evaluate_cost(vector, edm, wrong, 2)
+            evaluate_cost(vector, edm, wrong)
     # a fully measured matrix, with no mask of its own or a complete one,
     # may be run under any mask
     full = edm_from_points(layout)
     config = SolverConfig(max_generations=5)
-    want = complete_and_localize(observed, mask, 2, config).best_cost_history
+    want = complete_and_localize(observed, mask, config).best_cost_history
     for complete in (full, mask_edm(full, AdjacencyMask.complete(6))):
-        assert evaluate_cost(truth, complete, mask, 2) == evaluate_cost(
-            truth, observed, mask, 2
+        assert evaluate_cost(truth, complete, mask) == evaluate_cost(
+            truth, observed, mask
         )
-        got = complete_and_localize(complete, mask, 2, config).best_cost_history
+        got = complete_and_localize(complete, mask, config).best_cost_history
         assert np.array_equal(got, want)
 
 
@@ -918,7 +909,7 @@ def test_generations_grow_with_missing_edges(wave40):
             layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 6)))
             mask = random_completable_mask(6, c, rng)
             observed = sample_edm_statistical(layout, mask, snr_h, wave40, rng)
-            run = complete_and_localize(observed, mask, 2, SolverConfig(), rng)
+            run = complete_and_localize(observed, mask, SolverConfig(), rng)
             gens.append(run.generations_used)
         medians.append(np.median(gens))
     assert medians[0] <= medians[1] <= medians[2]

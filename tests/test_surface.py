@@ -133,3 +133,12 @@ def test_readme_states_the_lockstep_groups():
         assert number(per_row) * cfg.solver.rows_per_generation == per_trial, n
         assert int(trials) == harness._group_size(n, c, cfg), n
         assert number(group) == int(trials) * per_trial, n
+
+
+def test_readme_quick_start_runs_as_printed(capsys):
+    # The library example under "## Quick start", run as the README prints
+    # it: noiseless ranges on 6 nodes recover the layout to well under 1 um.
+    section = README.read_text().split("\n## Quick start\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) < 1e-6
