@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -190,14 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except CompletabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores showwarning on the way out
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except CompletabilityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entry() -> None:

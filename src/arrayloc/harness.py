@@ -47,18 +47,11 @@ from .ranging import (
 from .snr import db_to_linear
 from .solver import (
     SolverConfig, SolverRun, complete_and_localize, complete_and_localize_group,
-    require_int, require_real, working_set_bytes,
+    lockstep_trials, require_int, require_real,
 )
 
 RANGING_MODES = ("statistical", "signal_level")
 LAYOUT_KINDS = ("random_box", "circle", "file")
-# Cost workspace of one lockstep group: that of one 15-node trial at
-# connectivity 0.9 with the default solver, which a 15-node sweep pays
-# anyway.  It fits six 6-node trials, three at 8 nodes and two at 10.  A
-# group's candidates and batch temporaries add to it: its solver memory
-# peaks at about 1.2 to 1.8 times this.  A larger group saves less per trial
-# as N grows, while its memory grows with every trial it adds.
-LOCKSTEP_WORKSPACE_BYTES = working_set_bytes(15, edge_budget(15, 0.9), SolverConfig())
 
 
 @dataclass
@@ -357,13 +350,11 @@ def _run_group(tasks: list[_TrialTask]) -> list[TrialRecord]:
 
 
 def _group_size(n: int, c: float, cfg: ExperimentConfig) -> int:
-    """Trials per lockstep group at n nodes and connectivity c: as many
-    trials' workspaces as fit in LOCKSTEP_WORKSPACE_BYTES, and at most
-    ceil(trials / workers), so that a pool's workers share a point's trials
-    about evenly."""
-    per_trial = working_set_bytes(n, edge_budget(n, c), cfg.solver)
+    """Trials per lockstep group: at most one solver batch, so that batches
+    of one reach ``_run_trial``, which perfbench traces, and each trial's cost
+    basis is built just before its batch runs; at most ceil(trials / workers)."""
     by_workers = math.ceil(cfg.trials / cfg.workers)
-    return max(1, min(LOCKSTEP_WORKSPACE_BYTES // per_trial, by_workers))
+    return min(lockstep_trials(n, edge_budget(n, c), cfg.solver), by_workers)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:

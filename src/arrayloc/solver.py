@@ -17,11 +17,10 @@ breed several offspring each, survivors are chosen by rank from parents and
 offspring together, and the rest of the population is replaced by fresh
 random immigrants each generation to keep exploring.
 
-Several trials can run in lockstep: each keeps its own random stream and
-stall test, and each generation is bred, scored in one batch and selected
-once for every trial still running, on arrays stacked over the trials.  A
-row's cost depends on that row alone, so a trial's run is the same bits
-alone or in any group.
+Several trials can run in lockstep batches of at most ``lockstep_trials``:
+each keeps its own random stream and stall test, and each generation is
+bred, scored and selected once for the batch's trials still running.  A
+row's cost depends on that row alone: a run has the same bits in any batch.
 
 From the second generation on, a candidate whose cost provably exceeds its
 trial's worst parent cost skips its exact eigenpairs and costs +inf: such a
@@ -37,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import AdjacencyMask, CompletabilityError, Edm, NodeLayout, \
-    is_completable, max_edges
+    edge_budget, is_completable, max_edges
 from .mds import _double_centre, _smallest_columns, classical_mds, embed_gram
 
 # Offspring bred per surviving parent each generation.  A wide brood with
@@ -136,9 +135,9 @@ class _CostTerms:
 class _Workspace:
     """Every per-generation array of ``_bounded_costs``, for up to P rows.
 
-    The solver allocates one per group of trials, so no generation faults
-    its working set back in; a batch of p rows, over all its trials, uses
-    the leading p rows of each buffer.  Nothing ``_bounded_costs`` returns
+    The solver allocates one per lockstep batch, so no generation faults
+    its working set back in; a cost batch of p rows, over all its trials,
+    uses the leading p rows of each buffer.  Nothing ``_bounded_costs`` returns
     points into it.
     """
 
@@ -168,12 +167,20 @@ class _Workspace:
         return work
 
 
-def working_set_bytes(n: int, links: int, config: SolverConfig) -> int:
-    """Bytes of the workspace a planar trial of n nodes and ``links``
-    measured pairs scores its generations in: what each trial adds to a
-    lockstep group's cost batch."""
+def _working_set_bytes(n: int, links: int, config: SolverConfig) -> int:
+    """Workspace bytes of a trial of n nodes and ``links`` measured pairs."""
     shapes = _Workspace.shapes(config.rows_per_generation, n, links)
     return sum(8 * math.prod(shape) for shape in shapes.values())
+
+
+# Cost workspace of one lockstep batch: that of one 15-node trial at c 0.9
+# with the default solver, which a 15-node run pays anyway (README, Determinism).
+LOCKSTEP_WORKSPACE_BYTES = _working_set_bytes(15, edge_budget(15, 0.9), SolverConfig())
+
+
+def lockstep_trials(n: int, links: int, config: SolverConfig) -> int:
+    """Trials of n nodes and ``links`` measured pairs one lockstep batch holds."""
+    return max(1, LOCKSTEP_WORKSPACE_BYTES // _working_set_bytes(n, links, config))
 
 
 def _check_masks(observed: Edm, mask: AdjacencyMask) -> None:
@@ -183,12 +190,12 @@ def _check_masks(observed: Edm, mask: AdjacencyMask) -> None:
         raise ValueError("mask must match the matrix's size and observation mask")
 
 
-def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
+def _cost_terms(entries: np.ndarray, mask: AdjacencyMask) -> _CostTerms:
     n, n_missing = mask.count, mask.missing_indices()[0].size
     # Edm accepts any value, NaN included, where the mask has no link; G_0
     # takes zeros there, and the residual reads measured pairs only.
     stack = np.concatenate([
-        mask.filled(observed.entries, 0.0)[None],
+        mask.filled(entries, 0.0)[None],
         mask.filled(np.zeros((n, n)), np.eye(n_missing)),
     ])
     i, j = np.nonzero(np.triu(mask.mask, 1))
@@ -199,7 +206,7 @@ def _cost_terms(observed: Edm, mask: AdjacencyMask) -> _CostTerms:
         basis=_double_centre(stack)[None],
         rows=i[None],
         cols=j[None],
-        target=0.5 * (observed.entries[i, j] + observed.entries[j, i])[None],
+        target=0.5 * (entries[i, j] + entries[j, i])[None],
         gain=np.sqrt(2.0 + np.max(degree[i] + degree[j], initial=0))[None],
     )
 
@@ -297,10 +304,10 @@ def evaluate_cost(vector: np.ndarray, observed: Edm, mask: AdjacencyMask) -> flo
         )
     if not np.all(np.isfinite(vector)):
         raise ValueError("candidate entries must be finite")
-    return float(_bounded_costs(vector, _cost_terms(observed, mask))[0][0, 0])
+    return float(_bounded_costs(vector, _cost_terms(observed.entries, mask))[0][0, 0])
 
 
-def _geodesic_upper_bounds(observed: Edm, mask: AdjacencyMask) -> np.ndarray:
+def _geodesic_upper_bounds(entries: np.ndarray, mask: AdjacencyMask) -> np.ndarray:
     """Squared shortest-path distances through observed links, one per
     missing pair in the order of ``mask.missing_indices()``.
 
@@ -310,7 +317,7 @@ def _geodesic_upper_bounds(observed: Edm, mask: AdjacencyMask) -> np.ndarray:
     w[u, v]) over u until nothing changes forms Dijkstra's float sums,
     accumulated outward from the source s, in O(N^2) memory.
     """
-    weights = np.where(mask.mask, np.sqrt(np.abs(observed.entries)), np.inf)
+    weights = np.where(mask.mask, np.sqrt(np.abs(entries)), np.inf)
     weights = np.minimum(weights, weights.T)  # an undirected link's shorter way
     geodesic = weights.copy()
     np.fill_diagonal(geodesic, 0.0)
@@ -337,8 +344,12 @@ class _Search:
                 "observation mask cannot anchor every node in the array"
             )
         self.observed, self.mask, self.config, self.rng = observed, mask, config, rng
-        self.terms = _cost_terms(observed, mask)
-        bounds = _geodesic_upper_bounds(observed, mask)
+        # The search runs on the entries times 4^-k, the largest measured in
+        # [1/2, 2): a power of two scales exactly, so every scale gives the same run.
+        self.k = int(np.frexp(observed.entries[mask.mask].max(initial=0.0))[1]) // 2
+        entries = np.ldexp(mask.filled(observed.entries, 0.0), -2 * self.k)
+        self.terms = _cost_terms(entries, mask)
+        bounds = _geodesic_upper_bounds(entries, mask)
         self.upper = np.maximum(bounds, 1e-12)
         self.population = self.upper * rng.random((config.population_size, bounds.size))
         self.cost_history: list[float] = []
@@ -365,10 +376,13 @@ class _Search:
             self.stop_reason = "max_generations"
 
     def result(self) -> SolverRun:
-        filled = self.mask.filled(self.observed.entries, self.vector_history[-1])
+        with np.errstate(over="ignore", under="ignore"):  # a cost may pass float range
+            vectors = np.ldexp(self.vector_history, 2 * self.k)
+            costs = np.ldexp(self.cost_history, 4 * self.k)
+        filled = self.mask.filled(self.observed.entries, vectors[-1])
         return SolverRun(
-            best_cost_history=np.array(self.cost_history),
-            best_vector_history=np.array(self.vector_history),
+            best_cost_history=costs,
+            best_vector_history=vectors,
             generations_used=len(self.cost_history),
             stop_reason=self.stop_reason,
             recovered_layout=classical_mds(Edm(filled), 2),
@@ -380,21 +394,23 @@ class _Search:
 def _evolve(searches: list[_Search], config: SolverConfig) -> None:
     """Run every search to its stop, a generation at a time in lockstep.
 
-    Searches whose cost terms share a shape form a group on stacked (T, S,
-    K) populations, (T, S) costs and (T, 1, K) bounds.  Each search draws
-    from its own stream in its own order: donor keys, crossover draws,
-    forced coordinates, immigrants.  The rest of a generation, breeding,
-    one cost batch and selection, runs once for the group; a search leaves
-    the stacks when it stops.
+    Searches of one shape run in consecutive batches of at most
+    ``lockstep_trials``, on stacked (T, S, K) populations, (T, S) costs and
+    (T, 1, K) bounds.  Each search draws from its own stream in its own order:
+    donor keys, crossover draws, forced coordinates, immigrants.
     """
     cohorts: dict[tuple, list[_Search]] = {}
-    for search in searches:
-        cohorts.setdefault(search.terms.basis.shape, []).append(search)
+    for s in searches:  # nodes and links fix the shape of a search's arrays
+        cohorts.setdefault((s.mask.count, s.mask.edge_count), []).append(s)
+    batches = []
+    for shape, cohort in cohorts.items():
+        size = lockstep_trials(*shape, config)
+        batches += [cohort[i : i + size] for i in range(0, len(cohort), size)]
     width, n_parents = config.rows_per_generation, config.parents
     # Offspring k breeds on parent k mod n_parents.
     targets = np.tile(np.arange(n_parents), OFFSPRING_PER_PARENT)
     n_kids, kids = targets.size, np.arange(targets.size)
-    for live in cohorts.values():
+    for live in batches:
         terms = _CostTerms.stack([s.terms for s in live])
         upper = np.stack([s.upper for s in live])[:, None]
         population = np.stack([s.population for s in live])
@@ -404,7 +420,7 @@ def _evolve(searches: list[_Search], config: SolverConfig) -> None:
         for search, scored, rows in zip(live, costs, population):
             best = int(np.argmin(scored))
             search.record(float(scored[best]), rows[best].copy(), scored.size, 0)
-        # The draws' rows are allocated once per group, like the workspace:
+        # The draws' rows are allocated once per batch, like the workspace:
         # fresh ones each generation would fault their pages back in.
         buffer, draws = np.empty((t, width, n_vars)), np.empty((t, n_kids, n_vars))
         picks = np.empty((t, n_kids, 3), np.intp)
@@ -491,9 +507,9 @@ def complete_and_localize_group(
 ) -> list[SolverRun]:
     """``complete_and_localize`` on each (matrix, mask, rng), run in lockstep.
 
-    Each run is bit for bit the one ``complete_and_localize`` gives alone;
-    the group only shares each generation's cost batch, which saves NumPy's
-    per-call overhead on small arrays.
+    Each run is bit for bit the one ``complete_and_localize`` gives alone.
+    Batches of ``lockstep_trials`` share each generation's cost batch, which
+    saves NumPy's per-call overhead on small arrays, one workspace at a time.
     """
     config = config or SolverConfig()
     if not len(observed) == len(masks) == len(rngs):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -438,6 +440,27 @@ def test_simulate_mode_choices_are_the_harness_modes(capsys):
     err = capsys.readouterr().err
     assert "invalid choice: 'bogus'" in err
     assert all(repr(mode) in err for mode in RANGING_MODES)
+
+
+def test_a_warning_prints_as_one_line(capsys):
+    # Signal-level ranges in a 1 mm box are far from Euclidean, and the
+    # recovered layout's MDS warns.  pytest makes a RuntimeWarning an error
+    # in its own process, so the command runs in a fresh one.
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrayloc.cli", "simulate", "--mode", "signal_level",
+         "--extent", "1e-3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: input is strongly non-Euclidean; negative leading eigenvalues "
+        "clipped to zero\n"
+    )
+    assert float(_parse_kv(proc.stdout)["final_evm_m"]) > 0
+    # The command leaves the warning machinery as it found it.
+    shown = warnings.showwarning
+    assert main(["crlb", "--bandwidth", "40e6", "--snr-db", "34"]) == 0
+    assert warnings.showwarning is shown
 
 
 @pytest.mark.parametrize("extent", ["-1", "0"])

@@ -410,7 +410,7 @@ def test_lockstep_groups_match_serial_with_workers(tmp_path, monkeypatch):
         assert [harness._group_size(n, c, w) for w in by_workers] == sizes
         _assert_workers_match_serial(tmp_path / str(n), base)
         runs.append((cfg, run_experiment(cfg)))
-    monkeypatch.setattr(harness, "LOCKSTEP_WORKSPACE_BYTES", 0)  # every group of one
+    monkeypatch.setattr(solver, "LOCKSTEP_WORKSPACE_BYTES", 0)  # every group of one
     for cfg, grouped in runs:
         alone = run_experiment(cfg)
         assert [r.stop_reason for r in grouped] == [r.stop_reason for r in alone]
@@ -461,10 +461,10 @@ def test_group_bytes_are_the_workspace_a_trial_allocates(n, c, per_row, monkeypa
     (work,) = allocated
     nbytes = sum(getattr(work, f.name).nbytes for f in dataclasses.fields(work))
     rows = cfg.solver.rows_per_generation
-    assert solver.working_set_bytes(n, edge_budget(n, c), cfg.solver) == nbytes
+    assert solver._working_set_bytes(n, edge_budget(n, c), cfg.solver) == nbytes
     assert nbytes == per_row * rows
     many = dataclasses.replace(cfg, trials=250)
-    assert harness._group_size(n, c, many) == harness.LOCKSTEP_WORKSPACE_BYTES // nbytes
+    assert harness._group_size(n, c, many) == solver.LOCKSTEP_WORKSPACE_BYTES // nbytes
 
 
 def test_signal_level_smoke_run():

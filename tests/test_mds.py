@@ -390,7 +390,7 @@ def _solver_like_stack(n: int, rng: np.random.Generator) -> np.ndarray:
         full = edm_from_points(NodeLayout(rng.uniform(0.0, 5.0, size=(2, n))))
         mask = random_completable_mask(n, 0.9, rng)
         pairs = mask.missing_indices()
-        upper = _geodesic_upper_bounds(mask_edm(full, mask), mask)
+        upper = _geodesic_upper_bounds(mask_edm(full, mask).entries, mask)
         children = full.entries[pairs] * rng.uniform(0.95, 1.05, (75, upper.size))
         immigrants = upper * rng.random((25, upper.size))
         stacks.append(mask.filled(full.entries, np.vstack([children, immigrants])))

@@ -26,11 +26,12 @@ from arrayloc.geometry import (
     random_completable_mask,
 )
 from arrayloc import mds, solver
-from arrayloc.harness import LOCKSTEP_WORKSPACE_BYTES, _signal_level_edm
+from arrayloc.harness import _signal_level_edm
 from arrayloc.mds import _double_centre, batched_mds, embed_gram
 from arrayloc.ranging import sample_edm_statistical, synth_two_tone
 from arrayloc.snr import db_to_linear
 from arrayloc.solver import (
+    LOCKSTEP_WORKSPACE_BYTES,
     SolverConfig,
     _CostTerms,
     _Workspace,
@@ -39,10 +40,10 @@ from arrayloc.solver import (
     _geodesic_upper_bounds,
     _grams,
     _smallest_columns,
+    _working_set_bytes,
     complete_and_localize,
     complete_and_localize_group,
     evaluate_cost,
-    working_set_bytes,
 )
 
 
@@ -197,7 +198,7 @@ def _noisy_problem(rng, n, c, rows=400, kind="noisy"):
         observed=mask,
     )
     pairs = mask.missing_indices()
-    upper = _geodesic_upper_bounds(observed, mask)
+    upper = _geodesic_upper_bounds(observed.entries, mask)
     kids = 3 * rows // 4
     children = full[pairs] * rng.uniform(0.95, 1.05, (kids, upper.size))
     immigrants = upper * rng.random((rows - kids, upper.size))
@@ -222,7 +223,7 @@ def test_cost_equals_the_fill_centre_embed_formula(seed, n, kind):
         skew = np.triu(rng.uniform(0.0, 0.9, size=(n, n)), 1) * tol
         observed = Edm(observed.entries + skew * mask.mask, observed=mask)
         assert not np.array_equal(observed.entries, observed.entries.T)
-    terms = _cost_terms(observed, mask)
+    terms = _cost_terms(observed.entries, mask)
     grams = _grams(vectors[None], terms, _Workspace.allocate(len(vectors), terms))
     want = _double_centre(mask.filled(observed.entries, vectors))
     scale = np.sqrt(np.sum(want**2, axis=(1, 2)))
@@ -254,7 +255,7 @@ def test_a_row_costs_alike_alone_and_in_any_batch(n, c, rng):
     observed, mask, vectors = _noisy_problem(rng, n, c)
     if c == 0.5:
         assert vectors.shape[1] == 52  # many basis columns in the product
-    terms = _cost_terms(observed, mask)
+    terms = _cost_terms(observed.entries, mask)
     costs = _bounded_costs(vectors[None], terms)[0][0]
     for i in range(0, 400, 3):
         lo = max(0, i - 3)
@@ -287,7 +288,7 @@ def test_a_ruled_out_row_costs_more_than_its_ceiling(seed, n, kind):
     c = rng.uniform(min_edges(n) / max_edges(n), 1.0)
     observed, mask, vectors = _noisy_problem(rng, n, c, rows=200, kind=kind)
     assume(vectors.shape[1] > 0)
-    terms = _cost_terms(observed, mask)
+    terms = _cost_terms(observed.entries, mask)
     exact = _bounded_costs(vectors[None], terms)[0][0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mds, "_planar_pairs", lambda g, *_: mds._eigh_pairs(g, 2))
@@ -314,7 +315,7 @@ def test_the_floor_gain_bounds_how_far_the_pairs_move(seed, n):
     rng = np.random.default_rng(seed)
     mask = random_completable_mask(n, rng.uniform(min_edges(n) / max_edges(n), 1.0), rng)
     layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))
-    terms = _cost_terms(mask_edm(edm_from_points(layout), mask), mask)
+    terms = _cost_terms(mask_edm(edm_from_points(layout), mask).entries, mask)
     (i,), (j,), (gain,) = terms.rows, terms.cols, terms.gain
     links = i.size
     assert terms.gain.shape == (1,) and gain <= 2.0 * np.sqrt(links)
@@ -332,7 +333,7 @@ def test_the_floor_gain_bounds_how_far_the_pairs_move(seed, n):
 
 def test_a_workspace_is_reused_without_aliasing(rng):
     observed, mask, vectors = _noisy_problem(rng, 10, 0.9)
-    terms = _cost_terms(observed, mask)
+    terms = _cost_terms(observed.entries, mask)
     work = _Workspace.allocate(400, terms)
     first = _bounded_costs(vectors[None, :200], terms, work)[0]
     kept = first.copy()
@@ -380,7 +381,7 @@ def test_a_generation_does_not_fault_its_arrays_back_in():
     # for one 15-node trial as for the largest 6-node lockstep group the
     # harness runs.  A fresh process gives the heap a trial's starting state.
     pytest.importorskip("resource")
-    largest = LOCKSTEP_WORKSPACE_BYTES // working_set_bytes(
+    largest = LOCKSTEP_WORKSPACE_BYTES // _working_set_bytes(
         6, edge_budget(6, 0.8), SolverConfig()
     )
     for n, c, trials in ((15, 0.9, 1), (6, 0.8, largest)):
@@ -456,6 +457,31 @@ def test_cost_scales_by_s4_when_distances_scale_by_s2(seed, n, s):
     )
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_run_is_the_same_bits_at_every_scale(seed, wave40):
+    # Distances times 2^k give the same search, bit for bit: the layout
+    # times 2^k, the vectors times 4^k and the costs times 16^k, far below
+    # and above the scales where an absolute floor or the square of an
+    # entry would leave float range.
+    rng = np.random.default_rng(seed)
+    layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 8)))
+    mask = random_completable_mask(8, 0.8, rng)
+    observed = sample_edm_statistical(layout, mask, db_to_linear(34.0), wave40, rng)
+    base = complete_and_localize(observed, mask, None, np.random.default_rng(seed))
+    counts = (base.generations_used, base.stop_reason, base.evaluations, base.ruled_out)
+    for k in (-200, -120, -40, -5, 5, 40, 120, 200):
+        scaled = Edm(np.ldexp(observed.entries, 2 * k), observed=mask)
+        run = complete_and_localize(scaled, mask, None, np.random.default_rng(seed))
+        for got, want, power in (
+            (run.recovered_layout.coords, base.recovered_layout.coords, k),
+            (run.best_vector_history, base.best_vector_history, 2 * k),
+            (run.best_cost_history, base.best_cost_history, 4 * k),
+        ):
+            assert got.tobytes() == np.ldexp(want, power).tobytes(), k
+        assert (run.generations_used, run.stop_reason, run.evaluations,
+                run.ruled_out) == counts, k
+
+
 # ---------------------------------------------------------------------------
 # selection helpers: exact stable-argsort order, ties included
 # ---------------------------------------------------------------------------
@@ -526,7 +552,7 @@ def test_geodesic_bounds_equal_dijkstra(seed, n, kind):
     observed = Edm(np.where(mask.mask, full, 0.0), observed=mask)
     pairs = mask.missing_indices()
     want = shortest_path(weights, method="D", directed=False)[pairs] ** 2
-    assert np.array_equal(_geodesic_upper_bounds(observed, mask), want)
+    assert np.array_equal(_geodesic_upper_bounds(observed.entries, mask), want)
 
 
 def test_a_zero_length_link_carries_the_geodesic():
@@ -538,7 +564,7 @@ def test_a_zero_length_link_carries_the_geodesic():
     adj[1, 4] = adj[4, 1] = False
     mask = AdjacencyMask(adj)
     observed = mask_edm(edm_from_points(NodeLayout(points)), mask)
-    bounds = _geodesic_upper_bounds(observed, mask)
+    bounds = _geodesic_upper_bounds(observed.entries, mask)
     assert bounds == pytest.approx([18.0], rel=1e-15)
 
 
@@ -632,6 +658,36 @@ def test_a_group_runs_each_trial_as_it_runs_alone(wave40):
         )
     with pytest.raises(ValueError):
         complete_and_localize_group(observed[:2], masks, config, seeds)
+
+
+def test_a_group_larger_than_a_batch_runs_each_trial_as_it_runs_alone(
+    wave40, monkeypatch
+):
+    # Thirteen 6-node trials run in batches of 6, 6 and 1, and a complete
+    # mask's trial in a batch of its own shape: no batch allocates more than
+    # six trials' workspace, and every run is the one the trial gives alone.
+    config, observed, masks = SolverConfig(max_generations=30), [], []
+    for seed in range(14):
+        rng = np.random.default_rng(seed)
+        layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, 6)))
+        masks.append(random_completable_mask(6, 1.0 if seed == 1 else 0.8, rng))
+        observed.append(
+            sample_edm_statistical(layout, masks[-1], db_to_linear(34.0), wave40, rng)
+        )
+    rows, allocate = [], solver._Workspace.allocate
+
+    def spy(count, terms):
+        rows.append(count)
+        return allocate(count, terms)
+
+    monkeypatch.setattr(solver._Workspace, "allocate", spy)
+    rngs = [np.random.default_rng(seed) for seed in range(14)]
+    group = complete_and_localize_group(observed, masks, config, rngs)
+    width = config.rows_per_generation
+    assert sorted(rows) == [width, width, 6 * width, 6 * width]
+    for seed, (run, o, mask) in enumerate(zip(group, observed, masks)):
+        _assert_same_run(run, complete_and_localize(o, mask, config,
+                                                    np.random.default_rng(seed)))
 
 
 def _assert_same_run(run, want):

@@ -5,6 +5,7 @@ package loads."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -122,14 +123,14 @@ def test_readme_states_the_lockstep_groups():
     text = README.read_text()
     budget = re.search(r"connectivity 0\.9, ([0-9,]+) B\.", " ".join(text.split()))
     assert budget, "README lacks the lockstep budget"
-    assert number(budget.group(1)) == harness.LOCKSTEP_WORKSPACE_BYTES
+    assert number(budget.group(1)) == solver.LOCKSTEP_WORKSPACE_BYTES
     rows = re.findall(r"^\| (\d+), ([0-9.]+) \| ([0-9,]+) \| (\d+) \| ([0-9,]+) \|$",
                       text, flags=re.MULTILINE)
     assert len(rows) == 5, "README lacks the table of lockstep groups"
     for n, c, per_row, trials, group in rows:
         n, c = int(n), float(c)
         cfg = ExperimentConfig(array_sizes=[n], connectivities=[c], trials=250)
-        per_trial = solver.working_set_bytes(n, edge_budget(n, c), cfg.solver)
+        per_trial = solver._working_set_bytes(n, edge_budget(n, c), cfg.solver)
         assert number(per_row) * cfg.solver.rows_per_generation == per_trial, n
         assert int(trials) == harness._group_size(n, c, cfg), n
         assert number(group) == int(trials) * per_trial, n
@@ -142,3 +143,20 @@ def test_readme_quick_start_runs_as_printed(capsys):
     example = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(example, "README.md", "exec"), {})
     assert float(capsys.readouterr().out) < 1e-6
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, so it is left out.
+    for path in sorted((README.parent / "src" / "arrayloc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
