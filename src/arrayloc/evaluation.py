@@ -23,29 +23,36 @@ class AlignmentResult:
         return float(np.sqrt(np.mean(self.evm_per_node**2)))
 
 
-def align_and_evm(estimate: NodeLayout, truth: NodeLayout) -> AlignmentResult:
-    """Best orthogonal map (rotation or reflection) plus translation onto truth.
+def align_stack(estimates: np.ndarray, truth: NodeLayout) -> tuple[np.ndarray, ...]:
+    """Best orthogonal map (rotation or reflection) plus translation of each
+    layout of the (G, m, N) stack ``estimates`` onto ``truth``: the (G, m, m)
+    maps, (G, m, 1) translations, (G, m, N) aligned layouts and (G, N)
+    per-node residual norms, each row the bits its layout gets alone.
 
     Localization from distances alone cannot fix handedness, so reflections
     are legitimate alignments here; no determinant correction is applied.
     """
-    if estimate.coords.shape != truth.coords.shape:
+    # C order, as in NodeLayout: BLAS sums a transposed view in another order.
+    estimates, b = np.ascontiguousarray(estimates, dtype=float), truth.coords
+    if estimates.shape[1:] != b.shape:
         raise ValueError("layouts must share dimension and node count")
-    a = estimate.coords
-    b = truth.coords
-    ca = a.mean(axis=1, keepdims=True)
-    cb = b.mean(axis=1, keepdims=True)
-    u, _, vt = np.linalg.svd((a - ca) @ (b - cb).T)
-    rotation = vt.T @ u.T
-    translation = (cb - rotation @ ca).ravel()
-    aligned = rotation @ a + translation[:, None]
-    residuals = np.linalg.norm(aligned - b, axis=0)
+    ca = estimates.mean(axis=-1, keepdims=True)
+    cb = b.mean(axis=-1, keepdims=True)
+    u, _, vt = np.linalg.svd((estimates - ca) @ (b - cb).T)
+    rotations = vt.mT @ u.mT
+    translations = cb - rotations @ ca
+    aligned = rotations @ estimates + translations
+    return rotations, translations, aligned, np.linalg.norm(aligned - b, axis=-2)
+
+
+def align_and_evm(estimate: NodeLayout, truth: NodeLayout) -> AlignmentResult:
+    """``align_stack`` of the one layout ``estimate``."""
+    rotation, translation, aligned, residuals = (
+        rows[0] for rows in align_stack(estimate.coords[None], truth)
+    )
     return AlignmentResult(
-        rotation=rotation,
-        translation=translation,
-        aligned=NodeLayout(aligned),
-        evm_per_node=residuals,
-        evm_mean=float(residuals.mean()),
+        rotation, translation.ravel(), NodeLayout(aligned), residuals,
+        float(residuals.mean()),
     )
 
 

@@ -120,7 +120,7 @@ class Edm:
         if vals.size and not np.all(np.isfinite(vals)):
             raise ValueError("observed entries must be finite")
         scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-        tol = 1e-9 * max(scale, 1.0)
+        tol = 1e-9 * scale  # relative: the same test at every distance scale
         if not np.all(np.abs(np.diag(entries)) <= tol):  # also rejects NaN
             raise ValueError("diagonal must be zero")
         if vals.size and np.any(np.abs(entries - entries.T)[obs] > tol):

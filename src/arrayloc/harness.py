@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .evaluation import AlignmentResult, align_and_evm, max_beamform_freq
+from .evaluation import align_and_evm, align_stack, max_beamform_freq
 from .geometry import (
     AdjacencyMask,
     Edm,
@@ -278,14 +278,6 @@ def _signal_level_edm(
     return Edm(entries, observed=mask)
 
 
-def _alignments(
-    run: SolverRun, observed: Edm, mask: AdjacencyMask, truth: NodeLayout
-) -> list[AlignmentResult]:
-    """Each generation's best layout aligned onto the truth; the last is the run's."""
-    _, xy = batched_mds(mask.filled(observed.entries, run.best_vector_history), 2)
-    return [align_and_evm(NodeLayout(xy[:, g]), truth) for g in range(xy.shape[1])]
-
-
 def _trial_inputs(task: _TrialTask):
     """The trial's truth, mask, observed matrix and solver stream."""
     cfg = task.cfg
@@ -309,7 +301,10 @@ def _trial_inputs(task: _TrialTask):
 
 def _trial_record(task: _TrialTask, inputs, run: SolverRun, wall: float) -> TrialRecord:
     layout, mask, observed, _ = inputs
-    alignments = _alignments(run, observed, mask, layout)
+    # Every generation's best layout aligned at once, for convergence.csv.
+    _, xy = batched_mds(mask.filled(observed.entries, run.best_vector_history), 2)
+    residuals = align_stack(xy.transpose(1, 0, 2), layout)[-1]
+    final = align_and_evm(run.recovered_layout, layout)
     return TrialRecord(
         trial_id=task.trial_id,
         n_nodes=task.n,
@@ -317,10 +312,10 @@ def _trial_record(task: _TrialTask, inputs, run: SolverRun, wall: float) -> Tria
         bandwidth_hz=task.b,
         trial_seed=task.counter,
         cost_history=run.best_cost_history,
-        evm_history=np.array([a.evm_mean for a in alignments]),
+        evm_history=residuals.mean(axis=-1),
         final_cost=float(run.best_cost_history[-1]),
-        final_evm_m=alignments[-1].evm_mean,
-        final_evm_rms_m=alignments[-1].evm_rms,
+        final_evm_m=final.evm_mean,
+        final_evm_rms_m=final.evm_rms,
         generations_used=run.generations_used,
         stop_reason=run.stop_reason,
         evaluations=run.evaluations,
@@ -351,8 +346,8 @@ def _run_group(tasks: list[_TrialTask]) -> list[TrialRecord]:
 
 def _group_size(n: int, c: float, cfg: ExperimentConfig) -> int:
     """Trials per lockstep group: at most one solver batch, so that batches
-    of one reach ``_run_trial``, which perfbench traces, and each trial's cost
-    basis is built just before its batch runs; at most ceil(trials / workers)."""
+    of one reach ``_run_trial``, which perfbench traces; at most
+    ceil(trials / workers)."""
     by_workers = math.ceil(cfg.trials / cfg.workers)
     return min(lockstep_trials(n, edge_budget(n, c), cfg.solver), by_workers)
 

@@ -304,7 +304,18 @@ def evaluate_cost(vector: np.ndarray, observed: Edm, mask: AdjacencyMask) -> flo
         )
     if not np.all(np.isfinite(vector)):
         raise ValueError("candidate entries must be finite")
-    return float(_bounded_costs(vector, _cost_terms(observed.entries, mask))[0][0, 0])
+    k, entries = _normalised(observed, mask)
+    cost = _bounded_costs(np.ldexp(vector, -2 * k), _cost_terms(entries, mask))[0]
+    with np.errstate(over="ignore", under="ignore"):  # a cost may pass float range
+        return float(np.ldexp(cost[0, 0], 4 * k))
+
+
+def _normalised(observed: Edm, mask: AdjacencyMask) -> tuple[int, np.ndarray]:
+    """k, and the entries times 4^-k, the largest measured in [1/2, 2), with
+    zeros where the mask has no link: a power of two scales exactly, so the
+    search and every cost have the same bits at any scale."""
+    k = int(np.frexp(observed.entries[mask.mask].max(initial=0.0))[1]) // 2
+    return k, np.ldexp(mask.filled(observed.entries, 0.0), -2 * k)
 
 
 def _geodesic_upper_bounds(entries: np.ndarray, mask: AdjacencyMask) -> np.ndarray:
@@ -334,20 +345,13 @@ def _geodesic_upper_bounds(entries: np.ndarray, mask: AdjacencyMask) -> np.ndarr
 
 
 class _Search:
-    """One trial's DE state: its stream, first population, histories, stall test."""
+    """One trial's DE state: its stream, first population, histories, stall
+    test.  Its mask must have passed ``_check_masks`` and ``is_completable``."""
 
     def __init__(self, observed: Edm, mask: AdjacencyMask,
                  config: SolverConfig, rng: np.random.Generator) -> None:
-        _check_masks(observed, mask)
-        if not is_completable(mask):
-            raise CompletabilityError(
-                "observation mask cannot anchor every node in the array"
-            )
         self.observed, self.mask, self.config, self.rng = observed, mask, config, rng
-        # The search runs on the entries times 4^-k, the largest measured in
-        # [1/2, 2): a power of two scales exactly, so every scale gives the same run.
-        self.k = int(np.frexp(observed.entries[mask.mask].max(initial=0.0))[1]) // 2
-        entries = np.ldexp(mask.filled(observed.entries, 0.0), -2 * self.k)
+        self.k, entries = _normalised(observed, mask)
         self.terms = _cost_terms(entries, mask)
         bounds = _geodesic_upper_bounds(entries, mask)
         self.upper = np.maximum(bounds, 1e-12)
@@ -391,88 +395,82 @@ class _Search:
         )
 
 
-def _evolve(searches: list[_Search], config: SolverConfig) -> None:
-    """Run every search to its stop, a generation at a time in lockstep.
+def _evolve(problems: list[tuple], config: SolverConfig) -> list[SolverRun]:
+    """Run one batch of (matrix, mask, rng) searches of one shape to their
+    stops, a generation at a time in lockstep, and return their runs.
 
-    Searches of one shape run in consecutive batches of at most
-    ``lockstep_trials``, on stacked (T, S, K) populations, (T, S) costs and
-    (T, 1, K) bounds.  Each search draws from its own stream in its own order:
-    donor keys, crossover draws, forced coordinates, immigrants.
+    Searches run on stacked (T, S, K) populations, (T, S) costs and
+    (T, 1, K) bounds.  Each search draws from its own stream in its own
+    order: donor keys, crossover draws, forced coordinates, immigrants.
     """
-    cohorts: dict[tuple, list[_Search]] = {}
-    for s in searches:  # nodes and links fix the shape of a search's arrays
-        cohorts.setdefault((s.mask.count, s.mask.edge_count), []).append(s)
-    batches = []
-    for shape, cohort in cohorts.items():
-        size = lockstep_trials(*shape, config)
-        batches += [cohort[i : i + size] for i in range(0, len(cohort), size)]
+    live = searches = [_Search(o, mask, config, rng) for o, mask, rng in problems]
     width, n_parents = config.rows_per_generation, config.parents
     # Offspring k breeds on parent k mod n_parents.
     targets = np.tile(np.arange(n_parents), OFFSPRING_PER_PARENT)
     n_kids, kids = targets.size, np.arange(targets.size)
-    for live in batches:
-        terms = _CostTerms.stack([s.terms for s in live])
-        upper = np.stack([s.upper for s in live])[:, None]
-        population = np.stack([s.population for s in live])
-        t, _, n_vars = population.shape
-        work = _Workspace.allocate(t * width, terms)
-        costs = _bounded_costs(population, terms, work)[0]
-        for search, scored, rows in zip(live, costs, population):
-            best = int(np.argmin(scored))
-            search.record(float(scored[best]), rows[best].copy(), scored.size, 0)
-        # The draws' rows are allocated once per batch, like the workspace:
-        # fresh ones each generation would fault their pages back in.
-        buffer, draws = np.empty((t, width, n_vars)), np.empty((t, n_kids, n_vars))
-        picks = np.empty((t, n_kids, 3), np.intp)
-        forced = np.empty((t, n_kids), np.intp)
-        while going := [i for i, s in enumerate(live) if s.stop_reason is None]:
-            if len(going) < t:
-                live = [live[i] for i in going]
-                population, costs, upper = population[going], costs[going], upper[going]
-                terms, t = _CostTerms.stack([s.terms for s in live]), len(live)
-            order = np.argsort(costs, axis=1, kind="stable")[:, :n_parents, None]
-            parents = np.take_along_axis(population, order, axis=1)
-            ranked = np.take_along_axis(costs, order[..., 0], axis=1)  # best first
-            candidates, keys = buffer[:t], np.empty((n_kids, n_parents))
-            # DE/rand/1/bin among the parents, donor triples uniform but for
-            # the target, then immigrants uniform.  No draw depends on a
-            # cost, so children and immigrants are scored in one batch.
-            for i, search in enumerate(live):
-                search.rng.random(out=keys)
-                keys[kids, targets] = 2.0
-                picks[i] = _smallest_columns(keys, 3)
-                search.rng.random(out=draws[i])
-                forced[i] = search.rng.integers(0, n_vars, size=n_kids)
-                search.rng.random(out=candidates[i, n_kids:])
-            trial = np.arange(t)[:, None]
-            a, b, c = (parents[trial, picks[:t, :, j]] for j in range(3))
-            cross = draws[:t] < CROSSOVER_RATE
-            cross[trial, kids, forced[:t]] = True
-            target_vecs = parents[:, targets]
-            children = np.where(cross, a + DIFFERENTIAL_WEIGHT * (b - c), target_vecs)
-            # Out-of-bounds coordinates restart halfway between the target
-            # and the violated bound.  Hard clipping would pile many
-            # individuals onto identical boundary values and bleed diversity.
-            children = np.where(children < 0.0, 0.5 * target_vecs, children)
-            candidates[:, :n_kids] = np.where(
-                children > upper, 0.5 * (target_vecs + upper), children
-            )
-            candidates[:, n_kids:] *= upper
-            del keys, a, b, c, cross, children, target_vecs  # the batch peaks on top
-            scored, ruled = _bounded_costs(candidates, terms, work, ranked[:, -1])
-            # Rank parents and children together; immigrants join the
-            # survivors.  The best so far heads the parents, and the stable
-            # sort keeps it ahead of any child that only ties it: each
-            # trial's first survivor is its new best so far.
-            pool = np.concatenate([parents, candidates[:, :n_kids]], axis=1)
-            pool_costs = np.concatenate([ranked, scored[:, :n_kids]], axis=1)
-            keep = np.argsort(pool_costs, axis=1, kind="stable")[:, :n_parents, None]
-            population[:, :n_parents] = np.take_along_axis(pool, keep, axis=1)
-            population[:, n_parents:] = candidates[:, n_kids:]
-            costs[:, :n_parents] = np.take_along_axis(pool_costs, keep[..., 0], axis=1)
-            costs[:, n_parents:] = scored[:, n_kids:]
-            for search, rows, cost, n in zip(live, population, costs, ruled.sum(1)):
-                search.record(float(cost[0]), rows[0].copy(), width, n)
+    terms = _CostTerms.stack([s.terms for s in live])
+    upper = np.stack([s.upper for s in live])[:, None]
+    population = np.stack([s.population for s in live])
+    t, _, n_vars = population.shape
+    work = _Workspace.allocate(t * width, terms)
+    costs = _bounded_costs(population, terms, work)[0]
+    for search, scored, rows in zip(live, costs, population):
+        best = int(np.argmin(scored))
+        search.record(float(scored[best]), rows[best].copy(), scored.size, 0)
+    # The draws' rows are allocated once per batch, like the workspace:
+    # fresh ones each generation would fault their pages back in.
+    buffer, draws = np.empty((t, width, n_vars)), np.empty((t, n_kids, n_vars))
+    picks = np.empty((t, n_kids, 3), np.intp)
+    forced = np.empty((t, n_kids), np.intp)
+    while going := [i for i, s in enumerate(live) if s.stop_reason is None]:
+        if len(going) < t:
+            live = [live[i] for i in going]
+            population, costs, upper = population[going], costs[going], upper[going]
+            terms, t = _CostTerms.stack([s.terms for s in live]), len(live)
+        order = np.argsort(costs, axis=1, kind="stable")[:, :n_parents, None]
+        parents = np.take_along_axis(population, order, axis=1)
+        ranked = np.take_along_axis(costs, order[..., 0], axis=1)  # best first
+        candidates, keys = buffer[:t], np.empty((n_kids, n_parents))
+        # DE/rand/1/bin among the parents, donor triples uniform but for
+        # the target, then immigrants uniform.  No draw depends on a
+        # cost, so children and immigrants are scored in one batch.
+        for i, search in enumerate(live):
+            search.rng.random(out=keys)
+            keys[kids, targets] = 2.0
+            picks[i] = _smallest_columns(keys, 3)
+            search.rng.random(out=draws[i])
+            forced[i] = search.rng.integers(0, n_vars, size=n_kids)
+            search.rng.random(out=candidates[i, n_kids:])
+        trial = np.arange(t)[:, None]
+        a, b, c = (parents[trial, picks[:t, :, j]] for j in range(3))
+        cross = draws[:t] < CROSSOVER_RATE
+        cross[trial, kids, forced[:t]] = True
+        target_vecs = parents[:, targets]
+        children = np.where(cross, a + DIFFERENTIAL_WEIGHT * (b - c), target_vecs)
+        # Out-of-bounds coordinates restart halfway between the target
+        # and the violated bound.  Hard clipping would pile many
+        # individuals onto identical boundary values and bleed diversity.
+        children = np.where(children < 0.0, 0.5 * target_vecs, children)
+        candidates[:, :n_kids] = np.where(
+            children > upper, 0.5 * (target_vecs + upper), children
+        )
+        candidates[:, n_kids:] *= upper
+        del keys, a, b, c, cross, children, target_vecs  # the batch peaks on top
+        scored, ruled = _bounded_costs(candidates, terms, work, ranked[:, -1])
+        # Rank parents and children together; immigrants join the
+        # survivors.  The best so far heads the parents, and the stable
+        # sort keeps it ahead of any child that only ties it: each
+        # trial's first survivor is its new best so far.
+        pool = np.concatenate([parents, candidates[:, :n_kids]], axis=1)
+        pool_costs = np.concatenate([ranked, scored[:, :n_kids]], axis=1)
+        keep = np.argsort(pool_costs, axis=1, kind="stable")[:, :n_parents, None]
+        population[:, :n_parents] = np.take_along_axis(pool, keep, axis=1)
+        population[:, n_parents:] = candidates[:, n_kids:]
+        costs[:, :n_parents] = np.take_along_axis(pool_costs, keep[..., 0], axis=1)
+        costs[:, n_parents:] = scored[:, n_kids:]
+        for search, rows, cost, n in zip(live, population, costs, ruled.sum(1)):
+            search.record(float(cost[0]), rows[0].copy(), width, n)
+    return [search.result() for search in searches]
 
 
 def complete_and_localize(
@@ -508,14 +506,25 @@ def complete_and_localize_group(
     """``complete_and_localize`` on each (matrix, mask, rng), run in lockstep.
 
     Each run is bit for bit the one ``complete_and_localize`` gives alone.
-    Batches of ``lockstep_trials`` share each generation's cost batch, which
-    saves NumPy's per-call overhead on small arrays, one workspace at a time.
+    Every mask is checked first; then same-shape batches of ``lockstep_trials``
+    share each generation's cost batch, which saves NumPy's per-call overhead
+    on small arrays, one batch's searches and workspace at a time.
     """
     config = config or SolverConfig()
     if not len(observed) == len(masks) == len(rngs):
         raise ValueError("need one mask and one generator per matrix")
-    searches = [
-        _Search(o, mask, config, rng) for o, mask, rng in zip(observed, masks, rngs)
-    ]
-    _evolve(searches, config)
-    return [search.result() for search in searches]
+    problems = list(zip(observed, masks, rngs))
+    cohorts: dict[tuple, list[int]] = {}
+    for i, (matrix, mask, _) in enumerate(problems):
+        _check_masks(matrix, mask)
+        if not is_completable(mask):
+            raise CompletabilityError(
+                "observation mask cannot anchor every node in the array"
+            )
+        cohorts.setdefault((mask.count, mask.edge_count), []).append(i)  # array shape
+    runs = {}
+    for shape, cohort in cohorts.items():
+        size = lockstep_trials(*shape, config)
+        for batch in (cohort[i : i + size] for i in range(0, len(cohort), size)):
+            runs.update(zip(batch, _evolve([problems[i] for i in batch], config)))
+    return [runs[i] for i in range(len(problems))]

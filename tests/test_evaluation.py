@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrayloc.evaluation import align_and_evm, max_beamform_freq
+from arrayloc.evaluation import align_and_evm, align_stack, max_beamform_freq
 from arrayloc.geometry import NodeLayout
 
 
@@ -94,9 +96,63 @@ def test_evm_does_not_depend_on_memory_layout(rng):
             assert view.evm_mean == copy.evm_mean
 
 
+def _one_alignment(a, b):
+    """One layout's alignment by unstacked arithmetic, the reference for
+    the stacked core: maps, translations, aligned layout, residuals."""
+    ca = a.mean(axis=1, keepdims=True)
+    cb = b.mean(axis=1, keepdims=True)
+    u, _, vt = np.linalg.svd((a - ca) @ (b - cb).T)
+    rotation = vt.T @ u.T
+    translation = cb - rotation @ ca
+    aligned = rotation @ a + translation
+    return rotation, translation, aligned, np.linalg.norm(aligned - b, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+    st.integers(2, 16),
+    st.sampled_from(["random", "reflected", "collinear"]),
+)
+def test_a_stacked_alignment_is_each_layout_aligned_alone(seed, g, n, kind):
+    # The EVM replay aligns every generation's layout in one stacked call,
+    # on a (G, 2, N) view of MDS coordinate planes; each row must carry the
+    # bits the layout gets alone, in align_and_evm and in unstacked
+    # arithmetic, for reflected images and degenerate (collinear) layouts.
+    rng = np.random.default_rng(seed)
+    truth = rng.uniform(-5.0, 5.0, size=(2, n))
+    if kind == "reflected":
+        rot, shift = _random_rigid(rng)
+        planes = (rot @ np.diag([1.0, -1.0]) @ truth + shift)[:, None] + 1e-3 * (
+            rng.standard_normal((2, g, n))
+        )
+    elif kind == "collinear":
+        truth = rng.normal(size=(2, 1)) * rng.uniform(-5.0, 5.0, size=n)
+        planes = rng.normal(size=(2, 1, 1)) * rng.uniform(-5.0, 5.0, size=(g, n))
+    else:
+        planes = rng.uniform(-5.0, 5.0, size=(2, g, n))
+    stack = planes.transpose(1, 0, 2)
+    rows = align_stack(stack, NodeLayout(truth))
+    means = rows[-1].mean(axis=-1)
+    for k in range(g):
+        alone = align_and_evm(NodeLayout(stack[k]), NodeLayout(truth))
+        reference = _one_alignment(np.ascontiguousarray(stack[k]), truth)
+        for got, want in zip((row[k] for row in rows), reference):
+            assert got.tobytes() == want.tobytes()
+        assert alone.rotation.tobytes() == rows[0][k].tobytes()
+        assert alone.translation.tobytes() == rows[1][k].ravel().tobytes()
+        assert alone.aligned.coords.tobytes() == rows[2][k].tobytes()
+        assert alone.evm_per_node.tobytes() == rows[3][k].tobytes()
+        assert alone.evm_mean == means[k]
+
+
 def test_align_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         align_and_evm(NodeLayout(np.zeros((2, 4))), NodeLayout(np.zeros((2, 5))))
+    for stack in (np.zeros((3, 2, 5)), np.zeros((2, 4))):
+        with pytest.raises(ValueError):
+            align_stack(stack, NodeLayout(np.zeros((2, 4))))
 
 
 def test_evm_rms_property(rng):

@@ -428,6 +428,16 @@ def test_mask_edm_dimension_mismatch():
 def test_edm_rejects_asymmetry():
     with pytest.raises(ValueError):
         Edm(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    # The tolerance is relative at every scale: in a 1e-60 m box, whose
+    # entries lie near 1e-120, a 5e-10 asymmetry is no rounding error.
+    points = np.random.default_rng(3).uniform(size=(2, 5))
+    for box in (1e-60, 1.0, 1e60):
+        exact = edm_from_points(NodeLayout(box * points)).entries
+        Edm(exact)
+    exact = edm_from_points(NodeLayout(1e-60 * points)).entries
+    exact[0, 1] += 5e-10
+    with pytest.raises(ValueError, match="symmetric"):
+        Edm(exact)
 
 
 def test_edm_rejects_negative_entries():

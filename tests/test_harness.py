@@ -575,8 +575,11 @@ def test_evm_replay_ends_at_the_final_layout(monkeypatch):
     # The per-generation EVM replay and the recovered layout come from the
     # same MDS core, so the last replayed alignment is the solver's final
     # layout aligned onto the truth, bit for bit, in every ranging mode,
-    # for trials run alone and in lockstep groups alike.
-    layouts, runs, group_sizes = [], [], []
+    # for trials run alone and in lockstep groups alike.  The replay aligns
+    # all generations in one stacked call, each to the bits of aligning its
+    # layout alone, and align_and_evm runs once per trial, for the final
+    # layout only.
+    layouts, runs, group_sizes, replays, aligned = [], [], [], [], []
     group = harness.complete_and_localize_group
 
     def sized_group(observed, *rest):
@@ -594,6 +597,10 @@ def test_evm_replay_ends_at_the_final_layout(monkeypatch):
     monkeypatch.setattr(
         harness, "complete_and_localize_group", _recording(sized_group, runs, many=True)
     )
+    monkeypatch.setattr(harness, "batched_mds", _recording(harness.batched_mds, replays))
+    monkeypatch.setattr(
+        harness, "align_and_evm", _recording(harness.align_and_evm, aligned)
+    )
     sizes = dict(array_sizes=[6, 8], trials=3)
     sweeps = [
         dict(sizes, connectivities=[0.8, 1.0], noiseless=False),  # statistical
@@ -603,13 +610,16 @@ def test_evm_replay_ends_at_the_final_layout(monkeypatch):
         ),
     ]
     for overrides in sweeps:
-        layouts.clear()
-        runs.clear()
-        group_sizes.clear()
+        for calls in (layouts, runs, group_sizes, replays, aligned):
+            calls.clear()
         records = run_experiment(_tiny_config(**overrides))
         assert min(group_sizes) > 1  # 6-node trials run in groups, 8-node ones alone
-        assert len(records) == len(layouts) == len(runs)
-        for rec, layout, run in zip(records, layouts, runs):
+        assert len(records) == len(layouts) == len(runs) == len(replays)
+        assert len(aligned) == len(records)
+        for rec, layout, run, (_, xy) in zip(records, layouts, runs, replays):
+            alone = [align_and_evm(NodeLayout(xy[:, g]), layout).evm_mean
+                     for g in range(run.generations_used)]
+            assert rec.evm_history.tolist() == alone
             final = align_and_evm(run.recovered_layout, layout)
             assert rec.evm_history[-1] == rec.final_evm_m == final.evm_mean
             assert rec.final_evm_rms_m == final.evm_rms

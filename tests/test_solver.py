@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ from arrayloc.solver import (
     complete_and_localize,
     complete_and_localize_group,
     evaluate_cost,
+    lockstep_trials,
 )
 
 
@@ -457,6 +459,20 @@ def test_cost_scales_by_s4_when_distances_scale_by_s2(seed, n, s):
     )
 
 
+def test_a_cost_is_the_same_bits_at_every_scale():
+    # evaluate_cost scores on the entries the search scores on, times 4^-k:
+    # distances times 2^j give the cost times 16^j exactly, and in a 1e100 m
+    # box, where the cost leaves float range, it reads inf with no overflow.
+    observed, mask, vector = _noisy_candidate(0, 7)
+    base = evaluate_cost(vector, observed, mask)
+    for j in (-200, -40, -3, 3, 40, 200, 332):
+        scaled = Edm(np.ldexp(observed.entries, 2 * j), observed=mask)
+        with np.errstate(over="ignore"):
+            want = np.ldexp(base, 4 * j)
+        assert evaluate_cost(np.ldexp(vector, 2 * j), scaled, mask) == want, j
+    assert np.isinf(want) and np.sqrt(scaled.entries.max()) > 1e100
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_run_is_the_same_bits_at_every_scale(seed, wave40):
     # Distances times 2^k give the same search, bit for bit: the layout
@@ -688,6 +704,31 @@ def test_a_group_larger_than_a_batch_runs_each_trial_as_it_runs_alone(
     for seed, (run, o, mask) in enumerate(zip(group, observed, masks)):
         _assert_same_run(run, complete_and_localize(o, mask, config,
                                                     np.random.default_rng(seed)))
+
+
+def test_a_group_holds_one_batch_of_searches_at_a_time():
+    # Each batch's searches, cost bases and first populations are built just
+    # before it runs, so a group of four batches of 30-node trials, whose
+    # bases outweigh their small workspace, peaks near one batch.
+    config, n, c = SolverConfig(population_size=8, max_generations=2), 30, 0.5
+    size = lockstep_trials(n, edge_budget(n, c), config)
+    rng, observed, masks = np.random.default_rng(5), [], []
+    for _ in range(4 * size):
+        layout = NodeLayout(rng.uniform(0.0, 5.0, size=(2, n)))
+        masks.append(random_completable_mask(n, c, rng))
+        observed.append(mask_edm(edm_from_points(layout), masks[-1]))
+
+    def peak(count):
+        rngs = [np.random.default_rng(t) for t in range(count)]
+        tracemalloc.start()
+        try:
+            complete_and_localize_group(observed[:count], masks[:count], config, rngs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert size > 1
+    assert peak(4 * size) <= 1.5 * peak(size)
 
 
 def _assert_same_run(run, want):
