@@ -69,8 +69,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     records = run_experiment(cfg)
     elapsed = time.perf_counter() - started
-    out_dir = args.out or "results"
-    paths = write_outputs(cfg, records, out_dir)
+    paths = write_outputs(cfg, records, args.out)
     print(f"trials={len(records)} elapsed_s={elapsed:.1f}")
     for name, path in paths.items():
         print(f"{name}={path}")
@@ -107,7 +106,8 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         f"generations={run.generations_used} "
         f"converged={'true' if run.converged else 'false'} "
         f"stop={run.stop_reason} "
-        f"evaluations={run.evaluations}",
+        f"evaluations={run.evaluations} "
+        f"ruled_out={run.ruled_out}",
         file=sys.stderr,
     )
     return 0
@@ -139,29 +139,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    cfg = ExperimentConfig()
     p = sub.add_parser("simulate", help="run one localization trial")
-    p.add_argument("--nodes", "-n", type=int, default=6)
-    p.add_argument("--connectivity", "-c", type=float, default=0.8)
-    p.add_argument("--bandwidth", type=float, default=40e6, help="tone separation, Hz")
-    p.add_argument("--snr-db", type=float, default=34.0)
-    p.add_argument("--pulse", type=float, default=10e-6, help="pulse duration, s")
-    p.add_argument("--fs", type=float, default=200e6, help="sample rate, Sa/s")
-    p.add_argument("--mode", choices=RANGING_MODES, default="statistical")
+    p.add_argument("--nodes", "-n", type=int, default=cfg.array_sizes[0])
+    p.add_argument("--connectivity", "-c", type=float, default=cfg.connectivities[0])
+    p.add_argument("--bandwidth", type=float, default=cfg.bandwidths_hz[0],
+                   help="tone separation, Hz")
+    p.add_argument("--snr-db", type=float, default=cfg.snr_h_db)
+    p.add_argument("--pulse", type=float, default=cfg.pulse_s, help="pulse duration, s")
+    p.add_argument("--fs", type=float, default=cfg.sample_rate_hz,
+                   help="sample rate, Sa/s")
+    p.add_argument("--mode", choices=RANGING_MODES, default=cfg.ranging_mode)
     p.add_argument("--noiseless", action="store_true")
-    p.add_argument("--extent", type=float, default=5.0, help="layout box side, m")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--extent", type=float, default=LayoutSpec().extent_m,
+                   help="layout box side, m")
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a config-driven Monte Carlo sweep")
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--out", help="output directory (default: results)")
+    p.add_argument("--out", default="results",
+                   help="output directory (default: %(default)s)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("crlb", help="range-error bound for a waveform/SNR point")
     p.add_argument("--bandwidth", type=float, required=True)
     p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--pulse", type=float, default=10e-6)
-    p.add_argument("--fs", type=float, default=200e6)
+    p.add_argument("--pulse", type=float, default=cfg.pulse_s)
+    p.add_argument("--fs", type=float, default=cfg.sample_rate_hz)
     p.set_defaults(func=_cmd_crlb)
 
     p = sub.add_parser("mds", help="embed a complete distance matrix")

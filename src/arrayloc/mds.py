@@ -8,18 +8,18 @@ single matrix and a (P, N, N) stack of them alike: the final embedding
 and the convergence replay go through ``batched_mds``, and the DE cost,
 which builds its Gram matrices itself, through ``embed_gram``.
 
-For the planar case (m = 2) the two pairs come from a short block
-subspace iteration on G^8 and a Rayleigh-Ritz step on G (Golub & Van Loan,
-*Matrix Computations*, sec. 8.2; Saad, *Numerical Methods for Large
-Eigenvalue Problems*, ch. 5), and a row keeps that answer only when its
-residual and a fourth-moment bound prove it.  A caller may turn down an
-unproven row from its Ritz embedding and an error bound, leaving it zero;
-every other row, and every other m, goes through a full ``eigh``.  Each
-row's result depends on that row alone, never on the rest of the stack.
-The basis, its products, the vectors and the coordinates are axis-major,
-one contiguous (P, N) plane per vector or axis; BLAS reads and writes
-their (P, 2, N) views in place, with leading dimension P N.  Of (m, P, N)
-coordinates, coords[:, p] is matrix p's layout as a ``NodeLayout`` holds it.
+``embed_gram`` alone picks each row's route.  For m = 2 and N >= 3 it
+first tries a short block subspace iteration on G^8 and a Rayleigh-Ritz
+step on G (Golub & Van Loan, *Matrix Computations*, sec. 8.2; Saad,
+*Numerical Methods for Large Eigenvalue Problems*, ch. 5), and a row keeps
+that answer only when its residual and a fourth-moment bound prove it; a
+caller may turn down an unproven row from its Ritz embedding and an error
+bound, leaving it zero.  Every row left, of any stack, goes to one full
+``eigh``.  Each row's result depends on that row alone.  The basis, its
+products, the vectors and the coordinates are axis-major, one contiguous
+(P, N) plane per vector or axis; BLAS reads and writes their (P, 2, N)
+views in place, with leading dimension P N.  Of (m, P, N) coordinates,
+coords[:, p] is matrix p's layout as a ``NodeLayout`` holds it.
 """
 
 from __future__ import annotations
@@ -170,10 +170,13 @@ def _spread(
     return np.where(delta > 0.0, spread, np.inf)
 
 
-def _planar_pairs(
-    g: np.ndarray, scratch: np.ndarray | None = None, needed=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_eigh_pairs`` for m = 2 and N >= 3: proven rows, else eigh.
+def _prove_pairs(
+    g: np.ndarray, scratch: np.ndarray, values: np.ndarray, planes: np.ndarray,
+    needed,
+) -> None:
+    """Write the two pairs of each proven row of a (P, N, N) stack, N >= 3,
+    into ``values`` and the (2, P, N) ``planes``, zeros for each row that
+    ``needed`` turns down, and leave the rest as is.
 
     Steps on G^8 and G.G, powers of G / ||G||_F so that none overflows, find
     the basis; the Ritz pairs theta_j and residual are those of G.  A row is
@@ -188,38 +191,13 @@ def _planar_pairs(
     and N <= 200.  So each other |lambda_i| is below |lambda_b| / 2.  The
     former test sum(lambda_i^2) <= lambda_2^2 / 4 implies (b).
 
-    The powers of G / ||G||_F are stored in ``scratch``, two (P, N, N)
-    buffers, fresh ones when it is None; nothing returned points into it.
-    ``needed`` is as in ``embed_gram``.
-    """
-    p, n, _ = g.shape
-    values = np.full((p, 2), np.nan)  # NaN until proven
-    planes = np.empty((2, p, n))
-    scratch = np.empty((2, p, n, n)) if scratch is None else scratch
-    # Degenerate rows (collinear or coincident nodes) divide by zero; they
-    # end up NaN, unproven and in eigh.
-    with np.errstate(all="ignore"):
-        _prove_pairs(g, scratch, values, planes, needed)
-    # The stages' arrays are freed by now, before eigh adds its own.
-    unproven = np.flatnonzero(np.isnan(values[:, 0]))
-    if unproven.size:
-        values[unproven], planes[:, unproven] = _eigh_pairs(g[unproven], 2)
-    return values, planes
-
-
-def _prove_pairs(
-    g: np.ndarray, scratch: np.ndarray, values: np.ndarray, planes: np.ndarray,
-    needed,
-) -> None:
-    """The subspace stages of ``_planar_pairs``: write the pairs of each
-    proven row into ``values`` and the (2, P, N) ``planes``, zeros for each
-    row that ``needed`` turns down, and leave the rest as is.
-
     The first stage takes two steps on G^8.  The rows it neither proves nor
     gives up on take two more on G^8 and two on G.G: rounding in G^8 hides
     lambda_2 below about 0.15 |lambda_1|, and the G.G steps fix that.  The
-    second stage copies its rows of G^8 and G into ``scratch`` and rebuilds
-    their G.G there, matrix by matrix and so to the same bits.
+    powers of G / ||G||_F are stored in ``scratch``, two (P, N, N) buffers;
+    the second stage copies its rows of G^8 and G there and rebuilds their
+    G.G, matrix by matrix and so to the same bits.  ``needed`` is as in
+    ``embed_gram``.
     """
     p, n, _ = g.shape
     norm = np.sqrt(np.einsum("pij,pij->p", g, g))
@@ -275,20 +253,29 @@ def embed_gram(
     The stack must be exactly symmetric.  Returns the m eigenvalues largest
     in magnitude, (P, m) by descending magnitude and unclipped, and the
     (m, P, N) coordinate planes; a negative eigenvalue gives a zero coordinate.
-    For m = 2 and N >= 3 a proven row takes the subspace answer (see
-    ``_planar_pairs``), and every other row a full ``eigh``, whose ties in
-    magnitude go to the lower index; a proven row breaks an exact tie
-    arbitrarily, which leaves its distances unchanged.  A caller that embeds
-    stack after stack passes the same (2, P, N, N) ``scratch`` each time.
-    ``needed(rows, coords, spread)`` sees the rows that a stage does not
-    prove but bounds: indices (R,), Ritz embeddings (2, R, N) and
-    ``_spread`` (R,).  It returns which rows need their exact pairs; the
-    others get zero values and coordinates.
+    Every row starts unproven.  For m = 2 and N >= 3, ``_prove_pairs`` proves
+    what it can on ``scratch``, two (P, N, N) buffers (fresh when None; a
+    caller embedding stack after stack passes the same ones); a proven row
+    breaks an exact tie in magnitude arbitrarily, which leaves its distances
+    unchanged.  Every row still unproven goes to one full ``eigh``, whose
+    ties go to the lower index.  ``needed(rows, coords, spread)`` sees the
+    rows that a stage does not prove but bounds: indices (R,), Ritz
+    embeddings (2, R, N) and ``_spread`` (R,); it returns which rows need
+    their exact pairs, and the others get zero values and coordinates.
     """
-    if m == 2 and gram.shape[-1] >= 3:
-        values, planes = _planar_pairs(gram, scratch, needed)
-    else:
-        values, planes = _eigh_pairs(gram, m)
+    p, n, _ = gram.shape
+    values = np.full((p, m), np.nan)  # NaN until proven
+    planes = np.empty((m, p, n))
+    if m == 2 and n >= 3:
+        scratch = np.empty((2, p, n, n)) if scratch is None else scratch
+        # Degenerate rows (collinear or coincident nodes) divide by zero;
+        # they end up NaN, unproven and in eigh.
+        with np.errstate(all="ignore"):
+            _prove_pairs(gram, scratch, values, planes, needed)
+    # The stages' arrays are freed by now, before eigh adds its own.
+    unproven = np.flatnonzero(np.isnan(values[:, 0]))
+    if unproven.size:
+        values[unproven], planes[:, unproven] = _eigh_pairs(gram[unproven], m)
     return values, _coordinates(values, planes)
 
 

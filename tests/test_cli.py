@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from arrayloc.cli import main
+from arrayloc.cli import build_parser, main
 from arrayloc.evaluation import align_and_evm
 from arrayloc.geometry import (
     AdjacencyMask,
@@ -22,7 +22,7 @@ from arrayloc.geometry import (
     write_layout_csv,
     write_mask_csv,
 )
-from arrayloc.harness import RANGING_MODES, load_config
+from arrayloc.harness import RANGING_MODES, ExperimentConfig, LayoutSpec, load_config
 from arrayloc.snr import SampleMatrix, db_to_linear, write_sample_matrix_csv
 from arrayloc.solver import complete_and_localize
 
@@ -146,7 +146,8 @@ def test_localize_seed_seeds_the_solver_generator(tmp_path, capsys):
         f"generations={run.generations_used} "
         f"converged={'true' if run.converged else 'false'} "
         f"stop={run.stop_reason} "
-        f"evaluations={run.evaluations}\n"
+        f"evaluations={run.evaluations} "
+        f"ruled_out={run.ruled_out}\n"
     )
 
 
@@ -242,6 +243,23 @@ def test_sweep_subcommand_writes_outputs(tmp_path, capsys):
     for name in ("records.csv", "convergence.csv", "summary.csv", "summary.json"):
         assert (out_dir / name).exists()
     assert "trials=2" in capsys.readouterr().out
+
+
+def test_cli_defaults_are_the_config_defaults():
+    # simulate and crlb default to what a sweep config defaults to.
+    parser, cfg = build_parser(), ExperimentConfig()
+    args = parser.parse_args(["simulate"])
+    assert (args.nodes, args.connectivity, args.bandwidth) == (
+        cfg.array_sizes[0], cfg.connectivities[0], cfg.bandwidths_hz[0]
+    )
+    assert (args.snr_db, args.pulse, args.fs, args.mode, args.seed) == (
+        cfg.snr_h_db, cfg.pulse_s, cfg.sample_rate_hz, cfg.ranging_mode, cfg.seed
+    )
+    assert args.noiseless is cfg.noiseless is False
+    assert args.extent == LayoutSpec().extent_m
+    args = parser.parse_args(["crlb", "--bandwidth", "40e6", "--snr-db", "34"])
+    assert (args.pulse, args.fs) == (cfg.pulse_s, cfg.sample_rate_hz)
+    assert parser.parse_args(["sweep", "--config", "c.json"]).out == "results"
 
 
 def test_sweep_subcommand_config_error_exit_codes(tmp_path, capsys):

@@ -117,6 +117,20 @@ def _weighted_projector(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("kpi,pk,kpj->pij", vectors, values, vectors)
 
 
+def _unit_pairs(stack: np.ndarray, needed=None) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``embed_gram(stack, 2)`` scales, unit vectors and all: each
+    row ``_prove_pairs`` proves on explicit buffers, ``_eigh_pairs`` for the
+    rest."""
+    p, n, _ = stack.shape
+    values, vectors = np.full((p, 2), np.nan), np.empty((2, p, n))
+    with np.errstate(all="ignore"):
+        mds._prove_pairs(stack, np.empty((2, p, n, n)), values, vectors, needed)
+    unproven = np.isnan(values[:, 0])
+    if unproven.any():
+        values[unproven], vectors[:, unproven] = mds._eigh_pairs(stack[unproven], 2)
+    return values, vectors
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -128,7 +142,10 @@ def test_planar_pairs_match_eigh(seed, n, kinds):
     stack = np.concatenate([_gram_stack(kind, 5, n, rng) for kind in kinds])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, vectors = mds._planar_pairs(stack)
+        values, vectors = _unit_pairs(stack)
+        got_values, coords = mds.embed_gram(stack, 2)
+    assert np.array_equal(got_values, values)
+    assert np.array_equal(coords, mds._coordinates(values, vectors))
     want_values, want_vectors = mds._eigh_pairs(stack, 2)
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
     mags = np.abs(values)
@@ -181,6 +198,27 @@ def test_only_unproven_rows_reach_eigh(rng, monkeypatch):
     want = np.linalg.eigh(two_nodes)[0]
     order = np.argsort(-np.abs(want), axis=1, kind="stable")
     assert np.array_equal(values, np.take_along_axis(want, order, axis=1))
+
+
+def _eigh_coordinates(stack: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    values, vectors = mds._eigh_pairs(stack, m)
+    return values, mds._coordinates(values, vectors)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_a_stack_without_proofs_embeds_as_one_eigh(n, rng, monkeypatch):
+    # Every row that no proof covers goes to one eigh: all rows at m = 1
+    # and m = 3, and at m = 2 with fewer than three nodes; at m = 2 and
+    # N >= 3, every row once the proof proves none.
+    stack = np.concatenate([_gram_stack(kind, 4, n, rng) for kind in GRAM_KINDS])
+    cases = [m for m in (1, 3) if m <= n] + ([2] if n < 3 else [])
+    for m in cases:
+        for got, want in zip(mds.embed_gram(stack, m), _eigh_coordinates(stack, m)):
+            assert np.array_equal(got, want)
+    if n >= 3:
+        monkeypatch.setattr(mds, "_prove_pairs", lambda *_: None)
+        for got, want in zip(mds.embed_gram(stack, 2), _eigh_coordinates(stack, 2)):
+            assert np.array_equal(got, want)
 
 
 def _gram_with_spectrum(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -240,7 +278,7 @@ def test_certificate_keeps_separated_rows_and_rejects_crowded_ones(seed, n):
     )
     with pytest.MonkeyPatch.context() as mp:
         seen = _eigh_spy(mp)
-        mds._planar_pairs(stack)
+        mds.embed_gram(stack, 2)
     assert len(seen) == 1 and np.array_equal(seen[0], stack[crowded])
 
 
@@ -258,7 +296,7 @@ def test_elongated_near_rank_two_rows_are_proven(rng, monkeypatch):
                 for _ in range(20)
             ]
         )
-        mds._planar_pairs(stack)
+        mds.embed_gram(stack, 2)
     assert seen == []
 
 
@@ -306,12 +344,15 @@ def test_planar_pairs_are_scale_free(scale, rng, monkeypatch):
     # G^8 of a Gram at 1e100 would overflow; the powers are taken of
     # G / ||G||_F, so every row stays proven and scales exactly.
     stack = _gram_stack("noisy_planar", 40, 9, rng)
-    want_values, want_vectors = mds._planar_pairs(stack)
+    want_values, want_vectors = _unit_pairs(stack)
     seen = _eigh_spy(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, vectors = mds._planar_pairs(scale * stack)
+        values, vectors = _unit_pairs(scale * stack)
+        got_values, coords = mds.embed_gram(scale * stack, 2)
     assert seen == []
+    assert np.array_equal(got_values, values)
+    assert np.array_equal(coords, mds._coordinates(values, vectors))
     lead = np.abs(want_values[:, 0])
     assert np.all(np.abs(values / scale - want_values) <= 1e-12 * lead[:, None])
     # The vectors are fixed only to the certificate's 1e-10 * |lambda_1|.
@@ -353,7 +394,7 @@ def test_a_turned_down_row_lies_within_its_spread(seed, n, kinds):
     # zero values and vectors; every other row keeps its bits.
     rng = np.random.default_rng(seed)
     stack = np.concatenate([_bounded_stack(kind, n, rng) for kind in kinds])
-    values, vectors = mds._planar_pairs(stack)
+    values, vectors = _unit_pairs(stack)
     exact = [
         mds._coordinates(*pairs) for pairs in ((values, vectors), mds._eigh_pairs(stack, 2))
     ]
@@ -371,7 +412,7 @@ def test_a_turned_down_row_lies_within_its_spread(seed, n, kinds):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_values, got_vectors = mds._planar_pairs(stack, needed=needed)
+        got_values, got_vectors = _unit_pairs(stack, needed=needed)
     assert np.all(got_values[dropped] == 0.0)
     assert np.all(got_vectors[:, dropped] == 0.0)
     assert np.array_equal(got_values[~dropped], values[~dropped])

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import arrayloc
@@ -160,3 +161,45 @@ def test_no_module_imports_a_name_it_never_uses():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_no_private_name_is_an_orphan():
+    # Every module-level private name in src/arrayloc is used somewhere in
+    # src/ outside its own definition; a helper whose last caller went is
+    # deleted with it.
+    trees = [
+        ast.parse(path.read_text())
+        for path in sorted((README.parent / "src" / "arrayloc").glob("*.py"))
+    ]
+
+    def uses(node: ast.AST) -> Counter:
+        """How often each name is read: as a name, an attribute or an import."""
+        counts: Counter = Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                counts[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                counts[sub.attr] += 1
+            elif isinstance(sub, ast.ImportFrom):
+                counts.update(alias.name for alias in sub.names)
+        return counts
+
+    everywhere = sum((uses(tree) for tree in trees), Counter())
+    orphans = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            own = uses(node)
+            orphans += [
+                name for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and everywhere[name] == own[name]
+            ]
+    assert orphans == []
